@@ -121,18 +121,22 @@ run_asan_stage() {
   # crypto_search_tree_test rides the integrity label: proof verifiers
   # walk attacker-shaped neighbor lists. snapshot_seal_test is explicit:
   # the seal-overflow fallback rebuilds chunks around a discarded arena,
-  # exactly where a stale ref would read out of bounds.
+  # exactly where a stale ref would read out of bounds. The word-crypto
+  # suites ride along: Feistel rounds, pads and stream inputs run on
+  # stack scratch with a heap fallback for long words, and the golden and
+  # reference tests drive both sides of every threshold.
   cmake --build "$asan_dir" -j "$(nproc)" --target \
     planner_test sql_test differential_test storage_heapfile_test \
     integrity_test crypto_merkle_test protocol_fuzz_test \
     crypto_search_tree_test snapshot_seal_test \
-    swp_match_kernel_test crypto_hmac_test
+    swp_match_kernel_test crypto_hmac_test crypto_feistel_test \
+    ciphertext_golden_test
   ctest --test-dir "$asan_dir" --output-on-failure --no-tests=error \
     -L planner -j "$(nproc)"
   ctest --test-dir "$asan_dir" --output-on-failure --no-tests=error \
     -L integrity -j "$(nproc)"
   ctest --test-dir "$asan_dir" --output-on-failure --no-tests=error \
-    -R 'storage_heapfile|swp_match_kernel|crypto_hmac|snapshot_seal' \
+    -R 'storage_heapfile|swp_match_kernel|crypto_hmac|crypto_feistel|ciphertext_golden|snapshot_seal' \
     -j "$(nproc)"
 }
 
@@ -305,6 +309,12 @@ if [ -x "$BUILD_DIR/bench_e6_performance" ]; then
   "$BUILD_DIR/bench_e6_performance" --stats --docs=2000 --repeats=50 \
     --rounds=1
 fi
+
+# The gated benchmark's own harness (BENCHMARK.json): builds the driver
+# from this checkout, runs all four workloads at smoke size, and checks
+# every answer and each result line's shape — so the gate cannot rot
+# between benchmark changes.
+bash bench_workloads/run.sh --smoke > /dev/null
 
 # Metrics smoke + name-drift check: start a daemon with the Prometheus
 # endpoint, drive real queries through the SQL REPL, scrape /metrics,

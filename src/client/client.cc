@@ -42,37 +42,42 @@ Result<Envelope> Call(const Transport& transport, const Envelope& request,
   return response;
 }
 
-Bytes SerializeDocument(const swp::EncryptedDocument& doc) {
-  Bytes serialized;
-  doc.AppendTo(&serialized);
-  return serialized;
-}
-
 }  // namespace
 
 // -------------------- result integrity --------------------
 
+const crypto::HmacSha256Precomputed& Client::IntegrityKey(
+    const std::string& relation) {
+  auto it = integrity_keys_.find(relation);
+  if (it == integrity_keys_.end()) {
+    it = integrity_keys_
+             .emplace(relation, crypto::HmacSha256Precomputed(
+                                    crypto::DeriveSubkey(
+                                        master_key_, "integrity/" + relation)))
+             .first;
+  }
+  return it->second;
+}
+
 Bytes Client::SignRoot(const std::string& relation, uint64_t epoch,
-                       const MerkleTree::Hash& root) const {
+                       const MerkleTree::Hash& root) {
   // Domain-separated HMAC under a per-relation subkey of the master:
   // only a master-key holder can bless a root, and a signature for one
   // relation (or epoch) can never vouch for another.
-  Bytes key = crypto::DeriveSubkey(master_key_, "integrity/" + relation);
   Bytes message = ToBytes("dbph-merkle-root-v1");
   AppendLengthPrefixed(&message, ToBytes(relation));
   AppendUint64(&message, epoch);
   message.insert(message.end(), root.begin(), root.end());
-  return crypto::HmacSha256(key, message);
+  return IntegrityKey(relation).Eval(message);
 }
 
 Bytes Client::SignSearchRoot(const std::string& relation, uint64_t epoch,
-                             const MerkleTree::Hash& root) const {
-  Bytes key = crypto::DeriveSubkey(master_key_, "integrity/" + relation);
+                             const MerkleTree::Hash& root) {
   Bytes message = ToBytes("dbph-search-root-v1");
   AppendLengthPrefixed(&message, ToBytes(relation));
   AppendUint64(&message, epoch);
   message.insert(message.end(), root.begin(), root.end());
-  return crypto::HmacSha256(key, message);
+  return IntegrityKey(relation).Eval(message);
 }
 
 Result<std::vector<crypto::SearchTree::Entry>> Client::BuildSearchEntries(
@@ -82,17 +87,42 @@ Result<std::vector<crypto::SearchTree::Entry>> Client::BuildSearchEntries(
   // digest computed here from plaintext equals the digest the server
   // computes from a query's wire bytes — that equality is the entire
   // bridge between "what was uploaded" and "what a select should hit".
-  std::map<crypto::SearchTree::Hash, std::vector<uint64_t>> postings;
+  // Determinism also means a repeated value needs its trapdoor only once:
+  // tags are memoized by word (the word encodes attribute and value, and
+  // the trapdoor is a function of the word alone). The memo lives in its
+  // own pass and is gone before any posting list is allocated, so its
+  // many small nodes never sit between long-lived ones and pin heap
+  // pages.
   const rel::Schema& schema = ph.schema();
+  const size_t arity = schema.num_attributes();
+  std::vector<crypto::SearchTree::Hash> tags;  // tags[i * arity + a]
+  tags.reserve(tuples.size() * arity);
+  {
+    std::map<Bytes, crypto::SearchTree::Hash> tag_of_word;
+    for (const rel::Tuple& tuple : tuples) {
+      for (size_t a = 0; a < arity; ++a) {
+        DBPH_ASSIGN_OR_RETURN(Bytes word, ph.mapper().MakeWord(a, tuple.at(a)));
+        auto tag = tag_of_word.find(word);
+        if (tag == tag_of_word.end()) {
+          DBPH_ASSIGN_OR_RETURN(
+              core::EncryptedQuery query,
+              ph.EncryptQuery(relation, schema.attribute(a).name, tuple.at(a)));
+          Bytes trapdoor_bytes;
+          query.trapdoor.AppendTo(&trapdoor_bytes);
+          tag = tag_of_word
+                    .emplace(std::move(word),
+                             crypto::SearchTree::TagDigest(trapdoor_bytes))
+                    .first;
+        }
+        tags.push_back(tag->second);
+      }
+    }
+  }
+  std::map<crypto::SearchTree::Hash, std::vector<uint64_t>> postings;
   for (size_t i = 0; i < tuples.size(); ++i) {
-    for (size_t a = 0; a < schema.num_attributes(); ++a) {
-      DBPH_ASSIGN_OR_RETURN(
-          core::EncryptedQuery query,
-          ph.EncryptQuery(relation, schema.attribute(a).name, tuples[i].at(a)));
-      Bytes trapdoor_bytes;
-      query.trapdoor.AppendTo(&trapdoor_bytes);
-      auto& list = postings[crypto::SearchTree::TagDigest(trapdoor_bytes)];
-      const uint64_t position = begin_position + i;
+    const uint64_t position = begin_position + i;
+    for (size_t a = 0; a < arity; ++a) {
+      auto& list = postings[tags[i * arity + a]];
       if (list.empty() || list.back() != position) list.push_back(position);
     }
   }
@@ -193,9 +223,7 @@ Status Client::VerifyResultTrailer(
     }
     std::vector<MerkleTree::Hash> leaves;
     leaves.reserve(docs.size());
-    for (const auto& doc : docs) {
-      leaves.push_back(MerkleTree::LeafHash(SerializeDocument(doc)));
-    }
+    for (const auto& doc : docs) leaves.push_back(doc.LeafHash());
 
     auto it = integrity_.find(relation);
     if (it != integrity_.end()) {
@@ -383,12 +411,14 @@ Status Client::VerifyResultTrailer(
       // Every returned row must actually match the query — the match
       // predicate is key-free, so the verifier can re-run it. Catches a
       // server splicing in genuine-but-irrelevant rows (which would
-      // pass the tree checks: they ARE leaves).
+      // pass the tree checks: they ARE leaves). One match context
+      // (trapdoor key schedule and scratch) serves the whole result.
       swp::SwpParams params;
       params.word_length = trapdoor->target.size();
       params.check_length = options_.check_length;
+      swp::MatchContext matcher(params, *trapdoor);
       for (const auto& doc : docs) {
-        if (swp::SearchDocument(params, *trapdoor, doc).empty()) {
+        if (!swp::DocumentMatches(&matcher, doc)) {
           return Status::DataLoss(
               "returned row does not match the query trapdoor");
         }
@@ -438,6 +468,7 @@ Status Client::ApplyDeleteManifest(const std::string& relation,
     swp::SwpParams params;
     params.word_length = trapdoor.target.size();
     params.check_length = options_.check_length;
+    swp::MatchContext matcher(params, trapdoor);
     std::vector<uint64_t> positions;
     positions.reserve(count);
     for (uint32_t i = 0; i < count; ++i) {
@@ -453,7 +484,7 @@ Status Client::ApplyDeleteManifest(const std::string& relation,
       ByteReader doc_reader(doc_bytes);
       DBPH_ASSIGN_OR_RETURN(swp::EncryptedDocument doc,
                             swp::EncryptedDocument::ReadFrom(&doc_reader));
-      if (swp::SearchDocument(params, trapdoor, doc).empty()) {
+      if (!swp::DocumentMatches(&matcher, doc)) {
         return Status::DataLoss(
             "server deleted a row that does not match the trapdoor");
       }
@@ -524,7 +555,7 @@ Status Client::SyncIntegrity(const std::string& relation,
   for (uint32_t i = 0; i < count; ++i) {
     DBPH_ASSIGN_OR_RETURN(swp::EncryptedDocument doc,
                           swp::EncryptedDocument::ReadFrom(&reader));
-    leaves.push_back(MerkleTree::LeafHash(SerializeDocument(doc)));
+    leaves.push_back(doc.LeafHash());
     positions.push_back(i);
   }
   if (reader.AtEnd()) {
@@ -672,9 +703,7 @@ Status Client::Outsource(const rel::Relation& relation) {
     IntegrityState state;
     std::vector<MerkleTree::Hash> leaves;
     leaves.reserve(enc.documents.size());
-    for (const auto& doc : enc.documents) {
-      leaves.push_back(MerkleTree::LeafHash(SerializeDocument(doc)));
-    }
+    for (const auto& doc : enc.documents) leaves.push_back(doc.LeafHash());
     state.tree.Assign(std::move(leaves));
     DBPH_RETURN_IF_ERROR(
         state.search.Assign(std::move(search_entries), enc.documents.size()));

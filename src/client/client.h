@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "crypto/hmac.h"
 #include "crypto/merkle.h"
 #include "crypto/random.h"
 #include "crypto/search_tree.h"
@@ -226,13 +227,19 @@ class Client {
   /// HMAC over (relation, epoch, root) under the relation's derived
   /// integrity key — what kAttestRoot deposits and proofs echo.
   Bytes SignRoot(const std::string& relation, uint64_t epoch,
-                 const crypto::MerkleTree::Hash& root) const;
+                 const crypto::MerkleTree::Hash& root);
 
   /// Same key, separate domain: the owner's blessing of the SEARCH root
   /// (the sorted trapdoor-tag tree). Distinct domains keep a row-root
   /// signature from ever vouching for a search root or vice versa.
   Bytes SignSearchRoot(const std::string& relation, uint64_t epoch,
-                       const crypto::MerkleTree::Hash& root) const;
+                       const crypto::MerkleTree::Hash& root);
+
+  /// The relation's integrity key (HKDF of the master) as an HMAC
+  /// schedule, derived on first use and kept: signing and checking a
+  /// root then costs no HKDF and no key-schedule rebuild.
+  const crypto::HmacSha256Precomputed& IntegrityKey(
+      const std::string& relation);
 
   /// Enumerates the (trapdoor tag -> leaf positions) entries the given
   /// tuples contribute when stored at positions [begin_position,
@@ -271,6 +278,9 @@ class Client {
   std::map<std::string, std::unique_ptr<core::DatabasePh>> schemes_;
   VerifyMode verify_mode_ = VerifyMode::kOff;
   std::map<std::string, IntegrityState> integrity_;
+  /// Per-relation integrity key schedules. They depend only on the
+  /// master key and the relation name, so they outlive any mirror.
+  std::map<std::string, crypto::HmacSha256Precomputed> integrity_keys_;
   obs::Histogram verify_latency_{obs::Unit::kMicros};
 };
 

@@ -48,6 +48,26 @@ void AppendLengthPrefixed(Bytes* out, const Bytes& payload);
 void AppendUint32(Bytes* out, uint32_t v);
 void AppendUint64(Bytes* out, uint64_t v);
 
+/// \brief Scratch bytes that live on the stack up to N bytes and fall
+/// back to one heap buffer beyond. Word-sized crypto paths size their
+/// scratch by word length, which is short in practice but unbounded by
+/// the schema. Contents start uninitialized.
+template <size_t N>
+class ScratchBytes {
+ public:
+  explicit ScratchBytes(size_t size) {
+    if (size > N) heap_.resize(size);
+  }
+  ScratchBytes(const ScratchBytes&) = delete;
+  ScratchBytes& operator=(const ScratchBytes&) = delete;
+
+  uint8_t* data() { return heap_.empty() ? stack_ : heap_.data(); }
+
+ private:
+  uint8_t stack_[N];
+  Bytes heap_;
+};
+
 /// \brief Cursor-style reader over a byte buffer, mirror of the Append*
 /// helpers. All reads are bounds-checked and return errors on truncation.
 class ByteReader {

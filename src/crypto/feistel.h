@@ -3,6 +3,7 @@
 
 #include "common/bytes.h"
 #include "common/result.h"
+#include "crypto/prf.h"
 
 namespace dbph {
 namespace crypto {
@@ -21,13 +22,22 @@ namespace crypto {
 ///
 /// Layout for input of n bytes: L = first floor(n/2) bytes, R = rest.
 /// Even rounds update R from L, odd rounds update L from R; inversion
-/// replays the rounds in reverse.
+/// replays the rounds in reverse. Round r XORs
+/// PRF(key, uint32_be(r) | source half) into the other half.
+///
+/// The round PRF's key schedule is derived once, at construction, and
+/// the rounds run in place with stack scratch for inputs up to
+/// kStackBytes (one heap buffer beyond): a round costs two SHA-256
+/// compressions for words under ~50 bytes, and permuting a word
+/// allocates nothing beyond the result.
 class FeistelPrp {
  public:
   static constexpr int kRounds = 8;
+  /// Longest input whose rounds run on stack scratch.
+  static constexpr size_t kStackBytes = 128;
 
   /// `key` may be any length (it keys HMAC). Prefer >= 16 bytes.
-  explicit FeistelPrp(Bytes key) : key_(std::move(key)) {}
+  explicit FeistelPrp(const Bytes& key) : prf_(key) {}
 
   /// Encrypts `in`; returns a permuted string of the same length.
   /// Inputs shorter than 2 bytes are rejected (no room to split).
@@ -36,11 +46,16 @@ class FeistelPrp {
   /// Inverts Encrypt.
   Result<Bytes> Decrypt(const Bytes& in) const;
 
- private:
-  /// Round function: PRF(key_, round | other_half) expanded to `out_len`.
-  Bytes RoundValue(int round, const Bytes& half, size_t out_len) const;
+  /// Encrypt/Decrypt over data[0, len), overwriting it.
+  Status EncryptInPlace(uint8_t* data, size_t len) const;
+  Status DecryptInPlace(uint8_t* data, size_t len) const;
 
-  Bytes key_;
+ private:
+  /// Applies round `round` to data[0, len); `scratch` holds len + 4
+  /// bytes.
+  void Round(int round, uint8_t* data, size_t len, uint8_t* scratch) const;
+
+  Prf prf_;
 };
 
 }  // namespace crypto

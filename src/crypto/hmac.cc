@@ -32,7 +32,7 @@ void FinishAbsorb(Sha256State* state, const uint8_t* data, size_t len,
     len -= kBlock;
   }
   uint8_t block[kBlock];
-  std::memcpy(block, data, len);
+  if (len > 0) std::memcpy(block, data, len);  // data may be null when empty
   block[len] = 0x80;
   if (len + 9 > kBlock) {
     // The length field does not fit: one padding-only extra block.
@@ -51,14 +51,15 @@ void FinishAbsorb(Sha256State* state, const uint8_t* data, size_t len,
 
 }  // namespace
 
-HmacSha256Precomputed::HmacSha256Precomputed(const Bytes& key) {
+HmacSha256Precomputed::HmacSha256Precomputed(const uint8_t* key,
+                                             size_t key_len) {
   uint8_t k[kBlock] = {0};
-  if (key.size() > kBlock) {
+  if (key_len > kBlock) {
     Sha256 h;
-    h.Update(key);
+    h.Update(key, key_len);
     h.FinishInto(k);  // 32 digest bytes, rest stays zero
-  } else {
-    std::memcpy(k, key.data(), key.size());
+  } else if (key_len > 0) {
+    std::memcpy(k, key, key_len);
   }
   uint8_t pad[kBlock];
   for (size_t i = 0; i < kBlock; ++i) pad[i] = k[i] ^ 0x36;
@@ -82,6 +83,38 @@ Bytes HmacSha256Precomputed::Eval(const Bytes& msg) const {
   Bytes out(kDigestSize);
   Eval(msg.data(), msg.size(), out.data());
   return out;
+}
+
+void HmacSha256Precomputed::ExpandInto(const uint8_t* msg, size_t len,
+                                       uint8_t* out, size_t out_len) const {
+  // The inner hash absorbs ipad | msg | counter. Every whole block of msg
+  // precedes the counter, so it is compressed once; only the tail (under
+  // one block) plus the 4 counter bytes are replayed per output block.
+  const size_t whole = len - len % kBlock;
+  Sha256State prefix = inner_;
+  for (size_t off = 0; off < whole; off += kBlock) {
+    Sha256Compress(&prefix, msg + off);
+  }
+  const size_t tail_len = len - whole;
+  uint8_t tail[kBlock + 4];
+  if (tail_len > 0) std::memcpy(tail, msg + whole, tail_len);
+
+  uint8_t inner_digest[kDigestSize];
+  uint8_t t[kDigestSize];
+  uint32_t counter = 0;
+  for (size_t produced = 0; produced < out_len; ++counter) {
+    tail[tail_len] = static_cast<uint8_t>(counter >> 24);
+    tail[tail_len + 1] = static_cast<uint8_t>(counter >> 16);
+    tail[tail_len + 2] = static_cast<uint8_t>(counter >> 8);
+    tail[tail_len + 3] = static_cast<uint8_t>(counter);
+    Sha256State state = prefix;
+    FinishAbsorb(&state, tail, tail_len + 4, kBlock + whole, inner_digest);
+    state = outer_;
+    FinishAbsorb(&state, inner_digest, kDigestSize, kBlock, t);
+    const size_t take = std::min(kDigestSize, out_len - produced);
+    std::memcpy(out + produced, t, take);
+    produced += take;
+  }
 }
 
 void HmacSha256Precomputed::EvalMany(const uint8_t* const* msgs,
@@ -111,7 +144,8 @@ void HmacSha256Precomputed::EvalMany(const uint8_t* const* msgs,
         const size_t take = msg_len > off ? msg_len - off : 0;
         for (size_t l = 0; l < lanes; ++l) {
           uint8_t* buf = scratch[l];
-          std::memcpy(buf, msgs[base + l] + off, take);
+          // take == 0 may come with a null (empty) message pointer.
+          if (take > 0) std::memcpy(buf, msgs[base + l] + off, take);
           std::memset(buf + take, 0, kBlock - take);
           if (msg_len >= off && msg_len < off + kBlock) {
             buf[msg_len - off] = 0x80;
@@ -182,24 +216,9 @@ Bytes HmacSha256(const Bytes& key, const Bytes& message) {
 
 Bytes HmacSha256Expand(const Bytes& key, const Bytes& message,
                        size_t out_len) {
-  HmacSha256Precomputed schedule(key);
-  Bytes out;
-  out.reserve(out_len);
-  Bytes block_input = message;
-  block_input.resize(message.size() + 4);
-  uint32_t counter = 0;
-  uint8_t t[Sha256::kDigestSize];
-  while (out.size() < out_len) {
-    uint8_t* ctr = block_input.data() + message.size();
-    ctr[0] = static_cast<uint8_t>(counter >> 24);
-    ctr[1] = static_cast<uint8_t>(counter >> 16);
-    ctr[2] = static_cast<uint8_t>(counter >> 8);
-    ctr[3] = static_cast<uint8_t>(counter);
-    ++counter;
-    schedule.Eval(block_input.data(), block_input.size(), t);
-    size_t take = std::min<size_t>(sizeof(t), out_len - out.size());
-    out.insert(out.end(), t, t + take);
-  }
+  Bytes out(out_len);
+  HmacSha256Precomputed(key).ExpandInto(message.data(), message.size(),
+                                        out.data(), out_len);
   return out;
 }
 

@@ -43,13 +43,23 @@ class HmacSha256Precomputed {
   /// 64 (ipad block) + len + padding must fit two blocks.
   static constexpr size_t kMaxOneBlockMessage = kBlockSize - 9;
 
-  explicit HmacSha256Precomputed(const Bytes& key);
+  explicit HmacSha256Precomputed(const Bytes& key)
+      : HmacSha256Precomputed(key.data(), key.size()) {}
+  HmacSha256Precomputed(const uint8_t* key, size_t key_len);
 
   /// Evaluates HMAC(key, msg) into `out` (32 bytes), zero allocations.
   void Eval(const uint8_t* msg, size_t len, uint8_t out[kDigestSize]) const;
 
   /// Convenience overload for tests and cold paths.
   Bytes Eval(const Bytes& msg) const;
+
+  /// \brief HmacSha256Expand over this schedule, zero allocations:
+  /// out[0, out_len) = T_0 | T_1 | ... truncated, T_i = HMAC(key, msg | i)
+  /// with i a big-endian 32-bit counter. Whole message blocks are
+  /// absorbed once and shared by every counter block, so messages of any
+  /// length and outputs of any length cost no scratch beyond the stack.
+  void ExpandInto(const uint8_t* msg, size_t len, uint8_t* out,
+                  size_t out_len) const;
 
   /// \brief Batched evaluation of `n` equal-length messages:
   /// out + 32*i receives HMAC(key, msgs[i]). Runs the lanes through the

@@ -30,10 +30,17 @@ MerkleTree::Hash MerkleTree::LeafHash(const Bytes& data) {
 }
 
 MerkleTree::Hash MerkleTree::LeafHash(const uint8_t* data, size_t len) {
+  Sha256 sha = LeafHasher();
+  sha.Update(data, len);
+  Hash hash;
+  sha.FinishInto(hash.data());
+  return hash;
+}
+
+Sha256 MerkleTree::LeafHasher() {
   Sha256 sha;
   sha.Update(&kLeafDomain, 1);
-  sha.Update(data, len);
-  return ToHash(sha.Finish());
+  return sha;
 }
 
 MerkleTree::Hash MerkleTree::NodeHash(const Hash& left, const Hash& right) {

@@ -8,6 +8,7 @@
 
 #include "common/bytes.h"
 #include "common/result.h"
+#include "crypto/sha256.h"
 
 namespace dbph {
 namespace crypto {
@@ -53,6 +54,10 @@ class MerkleTree {
   /// Leaf domain: SHA-256(0x00 | data).
   static Hash LeafHash(const Bytes& data);
   static Hash LeafHash(const uint8_t* data, size_t len);
+  /// A hasher that has absorbed the leaf domain byte: stream a leaf's
+  /// bytes into it and FinishInto a Hash for LeafHash(bytes), without
+  /// materializing them.
+  static Sha256 LeafHasher();
   /// Interior domain: SHA-256(0x01 | left | right).
   static Hash NodeHash(const Hash& left, const Hash& right);
 

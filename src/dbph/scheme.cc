@@ -42,8 +42,8 @@ Result<DatabasePh> DatabasePh::Create(const rel::Schema& schema,
                           CreateScheme(options.variant, params, swp_master));
     schemes.emplace(len, std::move(scheme));
   }
-  return DatabasePh(std::move(mapper), options, std::move(stream_key),
-                    std::move(mac_key), std::move(schemes));
+  return DatabasePh(std::move(mapper), options, stream_key, mac_key,
+                    std::move(schemes));
 }
 
 Result<swp::EncryptedDocument> DatabasePh::EncryptTuple(
@@ -65,7 +65,7 @@ Result<swp::EncryptedDocument> DatabasePh::EncryptTuple(
 
   swp::EncryptedDocument doc;
   doc.nonce = rng->NextBytes(options_.nonce_length);
-  crypto::StreamGenerator stream(stream_key_, doc.nonce);
+  crypto::StreamGenerator stream(&stream_schedule_, doc.nonce);
   doc.words.reserve(words.size());
   for (size_t slot = 0; slot < slot_to_attr.size(); ++slot) {
     size_t attr = slot_to_attr[slot];
@@ -108,7 +108,7 @@ Result<rel::Tuple> DatabasePh::DecryptTuple(
           "substituted or corrupted ciphertext");
     }
   }
-  crypto::StreamGenerator stream(stream_key_, doc.nonce);
+  crypto::StreamGenerator stream(&stream_schedule_, doc.nonce);
   std::vector<Bytes> words;
   words.reserve(doc.words.size());
   for (size_t slot = 0; slot < doc.words.size(); ++slot) {
@@ -185,10 +185,10 @@ std::vector<size_t> ExecuteSelect(const EncryptedRelation& relation,
   swp::SwpParams params;
   params.word_length = query.trapdoor.target.size();
   params.check_length = relation.check_length;
+  swp::MatchContext context(params, query.trapdoor);
   std::vector<size_t> matches;
   for (size_t i = 0; i < relation.documents.size(); ++i) {
-    if (!swp::SearchDocument(params, query.trapdoor, relation.documents[i])
-             .empty()) {
+    if (swp::DocumentMatches(&context, relation.documents[i])) {
       matches.push_back(i);
     }
   }
@@ -197,15 +197,19 @@ std::vector<size_t> ExecuteSelect(const EncryptedRelation& relation,
 
 std::vector<size_t> ExecuteConjunction(const EncryptedRelation& relation,
                                        const EncryptedConjunction& query) {
+  std::vector<swp::MatchContext> contexts;
+  contexts.reserve(query.trapdoors.size());
+  for (const auto& trapdoor : query.trapdoors) {
+    swp::SwpParams params;
+    params.word_length = trapdoor.target.size();
+    params.check_length = relation.check_length;
+    contexts.emplace_back(params, trapdoor);
+  }
   std::vector<size_t> matches;
   for (size_t i = 0; i < relation.documents.size(); ++i) {
     bool all = true;
-    for (const auto& trapdoor : query.trapdoors) {
-      swp::SwpParams params;
-      params.word_length = trapdoor.target.size();
-      params.check_length = relation.check_length;
-      if (swp::SearchDocument(params, trapdoor, relation.documents[i])
-              .empty()) {
+    for (auto& context : contexts) {
+      if (!swp::DocumentMatches(&context, relation.documents[i])) {
         all = false;
         break;
       }

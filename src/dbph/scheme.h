@@ -97,14 +97,13 @@ class DatabasePh {
       const std::string& attribute, const rel::Value& value) const;
 
  private:
-  DatabasePh(DocumentMapper mapper, DbphOptions options, Bytes stream_key,
-             Bytes mac_key,
+  DatabasePh(DocumentMapper mapper, DbphOptions options,
+             const Bytes& stream_key, const Bytes& mac_key,
              std::map<size_t, std::unique_ptr<swp::SearchableScheme>> schemes)
       : mapper_(std::move(mapper)),
         options_(options),
-        stream_key_(std::move(stream_key)),
-        mac_key_(std::move(mac_key)),
-        mac_schedule_(mac_key_),
+        stream_schedule_(stream_key),
+        mac_schedule_(mac_key),
         schemes_(std::move(schemes)) {}
 
   const swp::SearchableScheme& SchemeFor(size_t word_length) const {
@@ -113,8 +112,9 @@ class DatabasePh {
 
   DocumentMapper mapper_;
   DbphOptions options_;
-  Bytes stream_key_;
-  Bytes mac_key_;
+  /// The stream key's HMAC schedule, derived once: every document's
+  /// StreamGenerator borrows it instead of rebuilding it per tuple.
+  crypto::HmacSha256Precomputed stream_schedule_;
   /// The MAC key's HMAC schedule, derived once: tagging/verifying a
   /// document costs no per-document key-schedule rebuild and no
   /// serialized MAC-input buffer (see EncryptedDocument::MacTag).

@@ -10,7 +10,9 @@ Result<Bytes> BasicScheme::EncryptWord(const crypto::StreamGenerator& stream,
                                        uint64_t position,
                                        const Bytes& word) const {
   DBPH_RETURN_IF_ERROR(CheckWordLength(word));
-  return Xor(word, MakePad(stream, position, keys_.check_key));
+  Bytes cipher = word;
+  XorPad(stream, position, check_, cipher.data());
+  return cipher;
 }
 
 Result<Trapdoor> BasicScheme::MakeTrapdoor(const Bytes& word) const {
@@ -31,7 +33,9 @@ Result<Bytes> BasicScheme::DecryptWord(const crypto::StreamGenerator& stream,
                                        uint64_t position,
                                        const Bytes& cipher) const {
   DBPH_RETURN_IF_ERROR(CheckCipherLength(cipher));
-  return Xor(cipher, MakePad(stream, position, keys_.check_key));
+  Bytes word = cipher;
+  XorPad(stream, position, check_, word.data());
+  return word;
 }
 
 }  // namespace swp

@@ -18,7 +18,7 @@ namespace swp {
 class BasicScheme : public SearchableScheme {
  public:
   BasicScheme(SwpParams params, SwpKeys keys)
-      : SearchableScheme(params, std::move(keys)) {}
+      : SearchableScheme(params, std::move(keys)), check_(keys_.check_key) {}
 
   std::string Name() const override { return "swp-basic"; }
 
@@ -32,6 +32,10 @@ class BasicScheme : public SearchableScheme {
                             uint64_t position,
                             const Bytes& cipher) const override;
   bool HidesQueries() const override { return false; }
+
+ private:
+  /// F_{k''}, keyed once: the global check key never changes.
+  crypto::Prf check_;
 };
 
 }  // namespace swp

@@ -7,15 +7,16 @@ namespace dbph {
 namespace swp {
 
 Bytes ControlledScheme::WordKey(const Bytes& word) const {
-  crypto::Prf f(keys_.word_key_key);
-  return f.Eval(word, 32);
+  return word_key_.Eval(word, 32);
 }
 
 Result<Bytes> ControlledScheme::EncryptWord(
     const crypto::StreamGenerator& stream, uint64_t position,
     const Bytes& word) const {
   DBPH_RETURN_IF_ERROR(CheckWordLength(word));
-  return Xor(word, MakePad(stream, position, WordKey(word)));
+  Bytes cipher = word;
+  XorPad(stream, position, crypto::Prf(WordKey(word)), cipher.data());
+  return cipher;
 }
 
 Result<Trapdoor> ControlledScheme::MakeTrapdoor(const Bytes& word) const {

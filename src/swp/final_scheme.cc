@@ -2,32 +2,35 @@
 
 #include "common/macros.h"
 #include "swp/search.h"
-#include "crypto/prf.h"
 
 namespace dbph {
 namespace swp {
 
-Bytes FinalScheme::LeftPartKey(const Bytes& left) const {
-  crypto::Prf f(keys_.word_key_key);
-  return f.Eval(left, 32);
+void FinalScheme::LeftPartKey(const uint8_t* x,
+                              uint8_t out[kWordKeySize]) const {
+  word_key_.EvalInto(x, params_.left_length(), out, kWordKeySize);
 }
 
 Result<Bytes> FinalScheme::EncryptWord(const crypto::StreamGenerator& stream,
                                        uint64_t position,
                                        const Bytes& word) const {
   DBPH_RETURN_IF_ERROR(CheckWordLength(word));
-  DBPH_ASSIGN_OR_RETURN(Bytes x, preencrypt_.Encrypt(word));
-  Bytes left(x.begin(), x.begin() + static_cast<long>(params_.left_length()));
-  return Xor(x, MakePad(stream, position, LeftPartKey(left)));
+  Bytes x = word;
+  DBPH_RETURN_IF_ERROR(preencrypt_.EncryptInPlace(x.data(), x.size()));
+  uint8_t word_key[kWordKeySize];
+  LeftPartKey(x.data(), word_key);
+  XorPad(stream, position, crypto::Prf(word_key, kWordKeySize), x.data());
+  return x;
 }
 
 Result<Trapdoor> FinalScheme::MakeTrapdoor(const Bytes& word) const {
   DBPH_RETURN_IF_ERROR(CheckWordLength(word));
-  DBPH_ASSIGN_OR_RETURN(Bytes x, preencrypt_.Encrypt(word));
-  Bytes left(x.begin(), x.begin() + static_cast<long>(params_.left_length()));
   Trapdoor t;
-  t.key = LeftPartKey(left);
-  t.target = std::move(x);
+  t.target = word;
+  DBPH_RETURN_IF_ERROR(
+      preencrypt_.EncryptInPlace(t.target.data(), t.target.size()));
+  t.key.resize(kWordKeySize);
+  LeftPartKey(t.target.data(), t.key.data());
   return t;
 }
 
@@ -43,17 +46,20 @@ Result<Bytes> FinalScheme::DecryptWord(const crypto::StreamGenerator& stream,
   DBPH_RETURN_IF_ERROR(CheckCipherLength(cipher));
   const size_t left_len = params_.left_length();
 
-  Bytes s = stream.Block(position, left_len);
-  Bytes left(left_len);
-  for (size_t i = 0; i < left_len; ++i) left[i] = cipher[i] ^ s[i];
+  // x becomes X = <L | R>, then is inverted in place into the word.
+  Bytes x(cipher.size());
+  ScratchBytes<kStackWord> s(left_len);
+  stream.BlockInto(position, s.data(), left_len);
+  for (size_t i = 0; i < left_len; ++i) x[i] = cipher[i] ^ s.data()[i];
 
-  crypto::Prf check(LeftPartKey(left));
-  Bytes t = check.Eval(s, params_.check_length);
-  Bytes right(params_.check_length);
-  for (size_t i = 0; i < params_.check_length; ++i) {
-    right[i] = cipher[left_len + i] ^ t[i];
-  }
-  return preencrypt_.Decrypt(Concat(left, right));
+  uint8_t word_key[kWordKeySize];
+  LeftPartKey(x.data(), word_key);
+  const crypto::Prf check(word_key, kWordKeySize);
+  check.EvalInto(s.data(), left_len, x.data() + left_len,
+                 params_.check_length);
+  for (size_t i = left_len; i < x.size(); ++i) x[i] ^= cipher[i];
+  DBPH_RETURN_IF_ERROR(preencrypt_.DecryptInPlace(x.data(), x.size()));
+  return x;
 }
 
 }  // namespace swp

@@ -25,6 +25,12 @@ namespace swp {
 /// Decryption by the data owner regenerates S_i, recovers L = C_L XOR S_i,
 /// re-derives k_L, strips the check pad, and inverts E''. Keying off L
 /// alone is exactly what makes this possible (the fix over scheme III).
+///
+/// Cost per word: the fixed keys (stream, k', E'') have their HMAC
+/// schedules built once, so a word pays 2 SHA-256 compressions for S_i,
+/// 2 for k_L, 4 for F_{k_L} (2 of them its per-word key schedule) and 16
+/// for the 8 Feistel rounds, all on stack scratch; the only allocation
+/// is the returned word.
 class FinalScheme : public SearchableScheme {
  public:
   FinalScheme(SwpParams params, SwpKeys keys)
@@ -45,8 +51,10 @@ class FinalScheme : public SearchableScheme {
   bool HidesQueries() const override { return true; }
 
  private:
-  /// k_L = f_{k'}(left part of the pre-encrypted word).
-  Bytes LeftPartKey(const Bytes& left) const;
+  static constexpr size_t kWordKeySize = 32;
+
+  /// out = k_L = f_{k'}(x[0, left_length)), x the pre-encrypted word.
+  void LeftPartKey(const uint8_t* x, uint8_t out[kWordKeySize]) const;
 
   crypto::FeistelPrp preencrypt_;
 };

@@ -2,7 +2,6 @@
 
 #include "common/macros.h"
 #include "swp/search.h"
-#include "crypto/prf.h"
 
 namespace dbph {
 namespace swp {
@@ -12,17 +11,16 @@ Result<Bytes> HiddenScheme::EncryptWord(const crypto::StreamGenerator& stream,
                                         const Bytes& word) const {
   DBPH_RETURN_IF_ERROR(CheckWordLength(word));
   DBPH_ASSIGN_OR_RETURN(Bytes x, preencrypt_.Encrypt(word));
-  crypto::Prf f(keys_.word_key_key);
-  Bytes word_key = f.Eval(x, 32);
-  return Xor(x, MakePad(stream, position, word_key));
+  const crypto::Prf check(word_key_.Eval(x, 32));
+  XorPad(stream, position, check, x.data());
+  return x;
 }
 
 Result<Trapdoor> HiddenScheme::MakeTrapdoor(const Bytes& word) const {
   DBPH_RETURN_IF_ERROR(CheckWordLength(word));
   DBPH_ASSIGN_OR_RETURN(Bytes x, preencrypt_.Encrypt(word));
-  crypto::Prf f(keys_.word_key_key);
   Trapdoor t;
-  t.key = f.Eval(x, 32);
+  t.key = word_key_.Eval(x, 32);
   t.target = std::move(x);  // only the pre-encryption leaves the client
   return t;
 }

@@ -37,13 +37,15 @@ Status SearchableScheme::CheckCipherLength(const Bytes& cipher) const {
   return Status::OK();
 }
 
-Bytes SearchableScheme::MakePad(const crypto::StreamGenerator& stream,
-                                uint64_t position,
-                                const Bytes& check_prf_key) const {
-  Bytes s = stream.Block(position, params_.left_length());
-  crypto::Prf check(check_prf_key);
-  Bytes t = check.Eval(s, params_.check_length);
-  return Concat(s, t);
+void SearchableScheme::XorPad(const crypto::StreamGenerator& stream,
+                              uint64_t position, const crypto::Prf& check,
+                              uint8_t* word) const {
+  const size_t left_len = params_.left_length();
+  ScratchBytes<kStackWord> pad(params_.word_length);
+  stream.BlockInto(position, pad.data(), left_len);
+  check.EvalInto(pad.data(), left_len, pad.data() + left_len,
+                 params_.check_length);
+  for (size_t i = 0; i < params_.word_length; ++i) word[i] ^= pad.data()[i];
 }
 
 const char* SchemeVariantName(SchemeVariant variant) {

@@ -79,17 +79,26 @@ class SearchableScheme {
 
  protected:
   SearchableScheme(SwpParams params, SwpKeys keys)
-      : params_(params), keys_(std::move(keys)) {}
+      : params_(params),
+        keys_(std::move(keys)),
+        word_key_(keys_.word_key_key) {}
 
   Status CheckWordLength(const Bytes& word) const;
   Status CheckCipherLength(const Bytes& cipher) const;
 
-  /// <S_i | F_k(S_i)>: the pad XORed onto (pre-encrypted) words.
-  Bytes MakePad(const crypto::StreamGenerator& stream, uint64_t position,
-                const Bytes& check_prf_key) const;
+  /// XORs the pad <S_i | F_check(S_i)> onto word[0, word_length), in
+  /// place and without allocations for words up to kStackWord bytes.
+  void XorPad(const crypto::StreamGenerator& stream, uint64_t position,
+              const crypto::Prf& check, uint8_t* word) const;
+
+  /// Words up to this length encrypt and decrypt on stack scratch.
+  static constexpr size_t kStackWord = 64;
 
   SwpParams params_;
   SwpKeys keys_;
+  /// f_{k'}: derives per-word check keys (schemes II-IV). Its schedule
+  /// is built once per scheme, not once per word.
+  crypto::Prf word_key_;
 };
 
 /// Which of the four SWP constructions to instantiate.

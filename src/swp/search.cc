@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/macros.h"
-#include "swp/match_kernel.h"
+#include "crypto/sha256.h"
 
 namespace dbph {
 namespace swp {
@@ -27,6 +27,29 @@ Bytes EncryptedDocument::MacTag(
     stream.Update(w);
   }
   return stream.Finish();
+}
+
+crypto::MerkleTree::Hash EncryptedDocument::LeafHash() const {
+  crypto::Sha256 sha = crypto::MerkleTree::LeafHasher();
+  const auto update_u32 = [&sha](size_t v) {
+    const uint32_t n = static_cast<uint32_t>(v);
+    const uint8_t be[4] = {
+        static_cast<uint8_t>(n >> 24), static_cast<uint8_t>(n >> 16),
+        static_cast<uint8_t>(n >> 8), static_cast<uint8_t>(n)};
+    sha.Update(be, 4);
+  };
+  update_u32(nonce.size());
+  sha.Update(nonce);
+  update_u32(words.size());
+  for (const Bytes& w : words) {
+    update_u32(w.size());
+    sha.Update(w);
+  }
+  update_u32(tag.size());
+  sha.Update(tag);
+  crypto::MerkleTree::Hash hash;
+  sha.FinishInto(hash.data());
+  return hash;
 }
 
 void EncryptedDocument::AppendTo(Bytes* out) const {
@@ -77,11 +100,19 @@ bool MatchCipherWord(const SwpParams& params, const Trapdoor& trapdoor,
 std::vector<size_t> SearchDocument(const SwpParams& params,
                                    const Trapdoor& trapdoor,
                                    const EncryptedDocument& doc) {
+  MatchContext context(params, trapdoor);
   std::vector<size_t> matches;
   for (size_t i = 0; i < doc.words.size(); ++i) {
-    if (MatchCipherWord(params, trapdoor, doc.words[i])) matches.push_back(i);
+    if (context.Matches(doc.words[i])) matches.push_back(i);
   }
   return matches;
+}
+
+bool DocumentMatches(MatchContext* context, const EncryptedDocument& doc) {
+  for (const Bytes& w : doc.words) {
+    if (context->Matches(w)) return true;
+  }
+  return false;
 }
 
 std::vector<size_t> SearchDocument(const SearchableScheme& scheme,

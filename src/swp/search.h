@@ -4,6 +4,8 @@
 #include <vector>
 
 #include "crypto/hmac.h"
+#include "crypto/merkle.h"
+#include "swp/match_kernel.h"
 #include "swp/scheme.h"
 
 namespace dbph {
@@ -33,6 +35,10 @@ struct EncryptedDocument {
   /// check costs no serialization buffer and no key-schedule rebuild.
   /// Bit-identical to HmacSha256(key, MacInput()).
   Bytes MacTag(const crypto::HmacSha256Precomputed& mac_schedule) const;
+
+  /// MerkleTree::LeafHash of the AppendTo() bytes, streamed through
+  /// SHA-256 without serializing the document.
+  crypto::MerkleTree::Hash LeafHash() const;
 
   void AppendTo(Bytes* out) const;
   static Result<EncryptedDocument> ReadFrom(ByteReader* reader);
@@ -67,6 +73,11 @@ std::vector<size_t> SearchDocument(const SearchableScheme& scheme,
 std::vector<size_t> SearchDocument(const SwpParams& params,
                                    const Trapdoor& trapdoor,
                                    const EncryptedDocument& doc);
+
+/// \brief Keyless: true when any slot of `doc` matches the context's
+/// trapdoor. Callers checking many documents against one trapdoor (the
+/// client's re-check of a result set) build the context once.
+bool DocumentMatches(MatchContext* context, const EncryptedDocument& doc);
 
 /// \brief Convenience: true when any slot matches.
 bool DocumentContains(const SearchableScheme& scheme,

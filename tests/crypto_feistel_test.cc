@@ -5,6 +5,7 @@
 #include <set>
 
 #include "common/bytes.h"
+#include "crypto/hmac.h"
 #include "crypto/random.h"
 
 namespace dbph {
@@ -93,6 +94,55 @@ TEST(FeistelTest, OddLengthsRoundTrip) {
     auto ct = prp.Encrypt(pt);
     ASSERT_TRUE(ct.ok());
     EXPECT_EQ(*prp.Decrypt(*ct), pt);
+  }
+}
+
+// The Feistel network as first written: split into two vectors, derive
+// each round value with a one-shot HmacSha256Expand over
+// uint32_be(round) | half, and XOR it in. The in-place implementation
+// must agree with it on every length.
+Bytes ReferenceRoundValue(const Bytes& key, int round, const Bytes& half,
+                          size_t out_len) {
+  Bytes input;
+  AppendUint32(&input, static_cast<uint32_t>(round));
+  input.insert(input.end(), half.begin(), half.end());
+  return HmacSha256Expand(key, input, out_len);
+}
+
+Bytes ReferenceFeistel(const Bytes& key, const Bytes& in, bool decrypt) {
+  const size_t l_len = in.size() / 2;
+  Bytes left(in.begin(), in.begin() + static_cast<long>(l_len));
+  Bytes right(in.begin() + static_cast<long>(l_len), in.end());
+  for (int i = 0; i < FeistelPrp::kRounds; ++i) {
+    const int round = decrypt ? FeistelPrp::kRounds - 1 - i : i;
+    if (round % 2 == 0) {
+      XorInPlace(&right, ReferenceRoundValue(key, round, left, right.size()));
+    } else {
+      XorInPlace(&left, ReferenceRoundValue(key, round, right, left.size()));
+    }
+  }
+  return Concat(left, right);
+}
+
+// Lengths 2..200 cross the stack-scratch threshold (kStackBytes) and the
+// round-message sizes where the HMAC inner hash grows a block.
+TEST(FeistelTest, MatchesReferenceOnEveryLength) {
+  static_assert(FeistelPrp::kStackBytes < 200);
+  const Bytes key = ToBytes("feistel reference key");
+  FeistelPrp prp(key);
+  HmacDrbg rng("feistel-reference", 5);
+  for (size_t len = 2; len <= 200; ++len) {
+    SCOPED_TRACE(len);
+    Bytes pt = rng.NextBytes(len);
+    auto ct = prp.Encrypt(pt);
+    ASSERT_TRUE(ct.ok());
+    EXPECT_EQ(*ct, ReferenceFeistel(key, pt, /*decrypt=*/false));
+    EXPECT_EQ(*prp.Decrypt(pt), ReferenceFeistel(key, pt, /*decrypt=*/true));
+    Bytes in_place = pt;
+    ASSERT_TRUE(prp.EncryptInPlace(in_place.data(), in_place.size()).ok());
+    EXPECT_EQ(in_place, *ct);
+    ASSERT_TRUE(prp.DecryptInPlace(in_place.data(), in_place.size()).ok());
+    EXPECT_EQ(in_place, pt);
   }
 }
 

@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "common/bytes.h"
 #include "crypto/hkdf.h"
+#include "crypto/prf.h"
 #include "crypto/sha256_compress.h"
 
 namespace dbph {
@@ -68,6 +70,77 @@ TEST(HmacTest, ExpandExtends) {
   EXPECT_EQ(out, HmacSha256Expand(key, ToBytes("m"), 100));
   // Different messages diverge.
   EXPECT_NE(out, HmacSha256Expand(key, ToBytes("n"), 100));
+}
+
+// The counter-mode expansion spelled out on top of one-shot HMAC: the
+// definition Prf and HmacSha256Expand must keep, T_i = HMAC(key, msg | i).
+Bytes ReferenceExpand(const Bytes& key, const Bytes& message,
+                      size_t out_len) {
+  Bytes out;
+  for (uint32_t counter = 0; out.size() < out_len; ++counter) {
+    Bytes input = message;
+    AppendUint32(&input, counter);
+    Bytes t = HmacSha256(key, input);
+    const size_t take = std::min(t.size(), out_len - out.size());
+    out.insert(out.end(), t.begin(), t.begin() + static_cast<long>(take));
+  }
+  return out;
+}
+
+// Output lengths around one digest; message lengths on both sides of the
+// 55- and 119-byte padding boundaries, for the message alone and with the
+// 4 counter bytes appended (where the inner hash grows a block), and of
+// the whole-block boundaries; keys short and longer than a block.
+TEST(PrfTest, EvalMatchesCounterModeDefinition) {
+  const size_t out_lens[] = {1, 31, 32, 33, 64, 100};
+  const size_t msg_lens[] = {0,   1,   51,  52,  54,  55,  56,  57,
+                             59,  60,  63,  64,  65,  115, 116, 118,
+                             119, 120, 121, 127, 128, 129, 200};
+  for (const Bytes& key : {ToBytes("prf key"), Bytes(131, 0x5a)}) {
+    const Prf prf(key);
+    for (size_t msg_len : msg_lens) {
+      Bytes msg(msg_len);
+      for (size_t i = 0; i < msg_len; ++i) msg[i] = static_cast<uint8_t>(i);
+      for (size_t out_len : out_lens) {
+        SCOPED_TRACE("key " + std::to_string(key.size()) + " msg " +
+                     std::to_string(msg_len) + " out " +
+                     std::to_string(out_len));
+        const Bytes expected = ReferenceExpand(key, msg, out_len);
+        EXPECT_EQ(prf.Eval(msg, out_len), expected);
+        EXPECT_EQ(HmacSha256Expand(key, msg, out_len), expected);
+        // EvalInto writes exactly out_len bytes and nothing past them.
+        Bytes buffer(out_len + 8, 0xee);
+        prf.EvalInto(msg.data(), msg.size(), buffer.data(), out_len);
+        EXPECT_EQ(Bytes(buffer.begin(), buffer.begin() + out_len), expected);
+        EXPECT_EQ(Bytes(buffer.begin() + out_len, buffer.end()),
+                  Bytes(8, 0xee));
+      }
+    }
+  }
+}
+
+// A borrowed schedule and an owned one give the same stream, equal to
+// PRF(key, nonce | uint64_be(index)), for nonces on both sides of the
+// generator's stack threshold.
+TEST(PrfTest, StreamGeneratorMatchesDefinition) {
+  const Bytes key = ToBytes("stream key");
+  const HmacSha256Precomputed schedule(key);
+  for (size_t nonce_len : {0, 8, 16, 55, 56, 57, 100}) {
+    Bytes nonce(nonce_len, 0x42);
+    StreamGenerator owned(key, nonce);
+    StreamGenerator borrowed(&schedule, nonce);
+    for (uint64_t index : {uint64_t{0}, uint64_t{7}, uint64_t{1} << 40}) {
+      for (size_t width : {1, 12, 32, 45}) {
+        Bytes input = nonce;
+        AppendUint64(&input, index);
+        const Bytes expected = ReferenceExpand(key, input, width);
+        EXPECT_EQ(owned.Block(index, width), expected);
+        Bytes out(width);
+        borrowed.BlockInto(index, out.data(), width);
+        EXPECT_EQ(out, expected);
+      }
+    }
+  }
 }
 
 // The precomputed schedule must agree with HmacSha256 on every RFC 4231
