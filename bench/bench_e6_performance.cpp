@@ -89,6 +89,7 @@
 #include "client/client.h"
 #include "common/stopwatch.h"
 #include "crypto/random.h"
+#include "crypto/sha256_compress.h"
 #include "dbph/scheme.h"
 #include "net/net_server.h"
 #include "net/tcp_transport.h"
@@ -791,7 +792,7 @@ int RunScanBench(const ParallelBenchConfig& config) {
     double repeats_d = static_cast<double>(config.repeats);
     std::printf(
         "{\"bench\":\"e6_scan\",\"probe\":\"%s\",\"docs\":%zu,"
-        "\"repeats\":%zu,\"result_size\":%zu,"
+        "\"repeats\":%zu,\"result_size\":%zu,\"sha256_kernel\":\"%s\","
         "\"scalar_seconds\":%.6f,\"kernel_seconds\":%.6f,"
         "\"scalar_qps\":%.2f,\"kernel_qps\":%.2f,\"speedup\":%.3f,"
         "\"server_scalar_seconds\":%.6f,\"server_kernel_seconds\":%.6f,"
@@ -800,6 +801,7 @@ int RunScanBench(const ParallelBenchConfig& config) {
         "\"kernel_match_evals\":%llu,"
         "\"results_match\":%s}\n",
         probe.label, config.docs, config.repeats, expected->size(),
+        crypto::Sha256KernelName(crypto::ActiveSha256Kernel()),
         scalar_seconds, kernel_seconds, scalar_qps, kernel_qps,
         kernel_qps / scalar_qps, scalar_server_seconds, kernel_server_seconds,
         scalar_server_seconds / kernel_server_seconds,

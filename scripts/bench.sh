@@ -73,7 +73,7 @@ trap 'rm -f "$LINES"' EXIT
   printf '  "bench": "e6",\n'
   printf '  "generated_utc": "%s",\n' "$(date -u +%Y-%m-%dT%H:%M:%SZ)"
   printf '  "git_revision": "%s",\n' \
-    "$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+    "$(git describe --always --dirty 2>/dev/null || echo unknown)"
   printf '  "host": {"nproc": %s, "uname": "%s"},\n' \
     "$(nproc)" "$(uname -srm)"
   printf '  "results": [\n'

@@ -216,7 +216,7 @@ run_matrix_stage() {
   #       -march=x86-64-v2 job, so the multi-way compression paths are
   #       exercised both when the compiler baseline already includes
   #       SSE4.1 and when only the per-function target attributes
-  #       provide it;
+  #       provide it (AVX2 and AVX-512F always come from the attributes);
   #   (2) runtime dispatch: DBPH_SHA256_KERNEL forces each kernel —
   #       including the portable scalar fallback — through the full
   #       HMAC vector suite and the batched-vs-scalar equivalence
@@ -228,7 +228,7 @@ run_matrix_stage() {
   cmake --build "$v2_dir" -j "$(nproc)" --target \
     crypto_hmac_test swp_match_kernel_test
   local kernel
-  for kernel in portable sse41 avx2 shani; do
+  for kernel in portable sse41 avx2 shani avx512; do
     for dir in "$BUILD_DIR" "$v2_dir"; do
       [ -x "$dir/crypto_hmac_test" ] || continue
       echo "kernel matrix: DBPH_SHA256_KERNEL=$kernel in $dir"

@@ -120,7 +120,6 @@ void HmacSha256Precomputed::ExpandInto(const uint8_t* msg, size_t len,
 void HmacSha256Precomputed::EvalMany(const uint8_t* const* msgs,
                                      size_t msg_len, size_t n,
                                      uint8_t* out) const {
-  constexpr size_t kLanes = 8;
   // Inner hash: the ipad block (already in the midstate) followed by the
   // message and padding; all lanes share one block count because the
   // messages share one length.
@@ -128,13 +127,13 @@ void HmacSha256Precomputed::EvalMany(const uint8_t* const* msgs,
   const uint64_t inner_bits = (kBlock + msg_len) * 8;
   const uint64_t outer_bits = (kBlock + kDigestSize) * 8;
 
-  for (size_t base = 0; base < n; base += kLanes) {
-    const size_t lanes = std::min(kLanes, n - base);
-    Sha256State states[kLanes];
+  for (size_t base = 0; base < n; base += kSha256BatchLanes) {
+    const size_t lanes = std::min(kSha256BatchLanes, n - base);
+    Sha256State states[kSha256BatchLanes];
     for (size_t l = 0; l < lanes; ++l) states[l] = inner_;
 
-    uint8_t scratch[kLanes][kBlock];
-    const uint8_t* blocks[kLanes];
+    uint8_t scratch[kSha256BatchLanes][kBlock];
+    const uint8_t* blocks[kSha256BatchLanes];
     for (size_t b = 0; b < inner_blocks; ++b) {
       const size_t off = b * kBlock;
       if (off + kBlock <= msg_len) {

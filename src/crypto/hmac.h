@@ -63,7 +63,8 @@ class HmacSha256Precomputed {
 
   /// \brief Batched evaluation of `n` equal-length messages:
   /// out + 32*i receives HMAC(key, msgs[i]). Runs the lanes through the
-  /// multi-way compression kernel (8 at a time), zero heap allocations.
+  /// multi-way compression kernel (kSha256BatchLanes at a time), zero
+  /// heap allocations.
   /// Bit-identical to n scalar Eval calls.
   void EvalMany(const uint8_t* const* msgs, size_t msg_len, size_t n,
                 uint8_t* out) const;

@@ -86,7 +86,7 @@ void CompressScalar(Sha256State* state, const uint8_t* block) {
 #define DBPH_SHA_INLINE inline __attribute__((always_inline))
 
 // ---------------------------------------------------------------------------
-// Transposed multi-way kernels (SSE4.1 x4 / AVX2 x8).
+// Transposed multi-way kernels (SSE4.1 x4 / AVX2 x8 / AVX-512 x16).
 //
 // GCC generic vectors keep the round function written once; the
 // target-attributed wrappers below compile it for the ISA they name and
@@ -98,6 +98,11 @@ void CompressScalar(Sha256State* state, const uint8_t* block) {
 
 typedef uint32_t u32x4 __attribute__((vector_size(16)));
 typedef uint32_t u32x8 __attribute__((vector_size(32)));
+typedef uint32_t u32x16 __attribute__((vector_size(64)));
+
+// A macro, not a helper: a function passing or returning a vector wider
+// than the baseline ISA draws -Wpsabi even when it is always inlined.
+#define DBPH_VEC_ROTR(x, n) (((x) >> (n)) | ((x) << (32 - (n))))
 
 template <typename V, int kLanes>
 DBPH_SHA_INLINE void VecCompressLanes(Sha256State* states,
@@ -114,23 +119,20 @@ DBPH_SHA_INLINE void VecCompressLanes(Sha256State* states,
   V a = s[0], b = s[1], c = s[2], d = s[3];
   V e = s[4], f = s[5], g = s[6], h = s[7];
 
-  const auto rotr = [](V x, int n) __attribute__((always_inline)) {
-    return (x >> n) | (x << (32 - n));
-  };
   for (int i = 0; i < 64; ++i) {
     if (i >= 16) {
       // Rolling 16-entry window: w[i % 16] is W[i-16] coming in, W[i]
       // going out.
       V w15 = w[(i + 1) % 16];
       V w2 = w[(i + 14) % 16];
-      V s0 = rotr(w15, 7) ^ rotr(w15, 18) ^ (w15 >> 3);
-      V s1 = rotr(w2, 17) ^ rotr(w2, 19) ^ (w2 >> 10);
+      V s0 = DBPH_VEC_ROTR(w15, 7) ^ DBPH_VEC_ROTR(w15, 18) ^ (w15 >> 3);
+      V s1 = DBPH_VEC_ROTR(w2, 17) ^ DBPH_VEC_ROTR(w2, 19) ^ (w2 >> 10);
       w[i % 16] = w[i % 16] + s0 + w[(i + 9) % 16] + s1;
     }
-    V s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+    V s1 = DBPH_VEC_ROTR(e, 6) ^ DBPH_VEC_ROTR(e, 11) ^ DBPH_VEC_ROTR(e, 25);
     V ch = (e & f) ^ (~e & g);
     V temp1 = h + s1 + ch + kRoundConst[i] + w[i % 16];
-    V s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+    V s0 = DBPH_VEC_ROTR(a, 2) ^ DBPH_VEC_ROTR(a, 13) ^ DBPH_VEC_ROTR(a, 22);
     V maj = (a & b) ^ (a & c) ^ (b & c);
     V temp2 = s0 + maj;
     h = g;
@@ -156,6 +158,8 @@ DBPH_SHA_INLINE void VecCompressLanes(Sha256State* states,
   }
 }
 
+#undef DBPH_VEC_ROTR
+
 __attribute__((target("sse4.1"))) void CompressSse41x4(
     Sha256State* states, const uint8_t* const* blocks) {
   VecCompressLanes<u32x4, 4>(states, blocks);
@@ -164,6 +168,12 @@ __attribute__((target("sse4.1"))) void CompressSse41x4(
 __attribute__((target("avx2"))) void CompressAvx2x8(
     Sha256State* states, const uint8_t* const* blocks) {
   VecCompressLanes<u32x8, 8>(states, blocks);
+}
+
+// AVX-512F turns the rotates into single VPRORD instructions.
+__attribute__((target("avx512f"))) void CompressAvx512x16(
+    Sha256State* states, const uint8_t* const* blocks) {
+  VecCompressLanes<u32x16, 16>(states, blocks);
 }
 
 // ---------------------------------------------------------------------------
@@ -237,6 +247,7 @@ struct CpuFeatures {
   bool ssse3 = false;
   bool sse41 = false;
   bool avx2 = false;
+  bool avx512f = false;
   bool sha = false;
 };
 
@@ -249,16 +260,20 @@ CpuFeatures DetectCpu() {
   const bool osxsave = (ecx & (1u << 27)) != 0;
   const bool avx = (ecx & (1u << 28)) != 0;
   bool ymm_enabled = false;
+  bool zmm_enabled = false;
   if (osxsave && avx) {
-    // The OS must have enabled YMM state saving before AVX2 is usable.
+    // The OS must have enabled YMM state saving before AVX2 is usable,
+    // and opmask + both ZMM halves (XCR0 bits 5-7) before AVX-512.
     // Raw xgetbv: the _xgetbv intrinsic would demand -mxsave TU-wide.
     uint32_t xcr0_lo = 0, xcr0_hi = 0;
     __asm__ volatile("xgetbv" : "=a"(xcr0_lo), "=d"(xcr0_hi) : "c"(0));
     const uint64_t xcr0 = (static_cast<uint64_t>(xcr0_hi) << 32) | xcr0_lo;
     ymm_enabled = (xcr0 & 0x6) == 0x6;
+    zmm_enabled = (xcr0 & 0xE6) == 0xE6;
   }
   if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) {
     features.avx2 = ymm_enabled && (ebx & (1u << 5)) != 0;
+    features.avx512f = zmm_enabled && (ebx & (1u << 16)) != 0;
     features.sha = (ebx & (1u << 29)) != 0;
   }
   return features;
@@ -278,6 +293,8 @@ bool KernelSupported(Sha256Kernel kernel) {
       return features.avx2;
     case Sha256Kernel::kShaNi:
       return features.sha && features.ssse3 && features.sse41;
+    case Sha256Kernel::kAvx512:
+      return features.avx512f;
   }
   return false;
 #else
@@ -290,6 +307,7 @@ Sha256Kernel PickKernel() {
   if (KernelSupported(Sha256Kernel::kSse41)) best = Sha256Kernel::kSse41;
   if (KernelSupported(Sha256Kernel::kAvx2)) best = Sha256Kernel::kAvx2;
   if (KernelSupported(Sha256Kernel::kShaNi)) best = Sha256Kernel::kShaNi;
+  if (KernelSupported(Sha256Kernel::kAvx512)) best = Sha256Kernel::kAvx512;
   const char* env = std::getenv("DBPH_SHA256_KERNEL");
   if (env != nullptr) {
     const std::string want(env);
@@ -298,6 +316,7 @@ Sha256Kernel PickKernel() {
     if (want == "sse41") forced = Sha256Kernel::kSse41;
     if (want == "avx2") forced = Sha256Kernel::kAvx2;
     if (want == "shani") forced = Sha256Kernel::kShaNi;
+    if (want == "avx512") forced = Sha256Kernel::kAvx512;
     if (KernelSupported(forced)) return forced;
   }
   return best;
@@ -326,27 +345,21 @@ const char* Sha256KernelName(Sha256Kernel kernel) {
       return "avx2";
     case Sha256Kernel::kShaNi:
       return "shani";
+    case Sha256Kernel::kAvx512:
+      return "avx512";
   }
   return "unknown";
 }
 
-size_t Sha256CompressLanes() {
-  switch (ActiveSha256Kernel()) {
-    case Sha256Kernel::kAvx2:
-      return 8;
-    case Sha256Kernel::kSse41:
-      return 4;
-    case Sha256Kernel::kShaNi:
-      return 2;
-    case Sha256Kernel::kPortable:
-      break;
-  }
-  return 1;
-}
-
 void Sha256Compress(Sha256State* state, const uint8_t* block) {
 #if DBPH_SHA256_X86
-  if (ActiveSha256Kernel() == Sha256Kernel::kShaNi) {
+  // Decided apart from the batch kernel: one SHA-NI stream beats every
+  // lane kernel on a single block, so only a forced `portable` (the
+  // scalar reference) keeps it off.
+  static const bool use_sha_ni =
+      KernelSupported(Sha256Kernel::kShaNi) &&
+      ActiveSha256Kernel() != Sha256Kernel::kPortable;
+  if (use_sha_ni) {
     Sha256State* states[1] = {state};
     const uint8_t* blocks[1] = {block};
     ShaNiCompress<1>(states, blocks);
@@ -361,17 +374,15 @@ void Sha256CompressMany(Sha256State* states, const uint8_t* const* blocks,
   size_t i = 0;
 #if DBPH_SHA256_X86
   switch (ActiveSha256Kernel()) {
+    case Sha256Kernel::kAvx512:
+      for (; i + 16 <= n; i += 16) CompressAvx512x16(states + i, blocks + i);
+      break;
     case Sha256Kernel::kShaNi:
       for (; i + 2 <= n; i += 2) {
         Sha256State* pair[2] = {&states[i], &states[i + 1]};
         ShaNiCompress<2>(pair, blocks + i);
       }
-      if (i < n) {
-        Sha256State* one[1] = {&states[i]};
-        ShaNiCompress<1>(one, blocks + i);
-        ++i;
-      }
-      return;
+      break;
     case Sha256Kernel::kAvx2:
       for (; i + 8 <= n; i += 8) CompressAvx2x8(states + i, blocks + i);
       if (i + 4 <= n) {
@@ -386,7 +397,7 @@ void Sha256CompressMany(Sha256State* states, const uint8_t* const* blocks,
       break;
   }
 #endif
-  for (; i < n; ++i) CompressScalar(&states[i], blocks[i]);
+  for (; i < n; ++i) Sha256Compress(&states[i], blocks[i]);
 }
 
 }  // namespace crypto

@@ -9,6 +9,7 @@
 #include "common/logging.h"
 #include "common/macros.h"
 #include "common/stopwatch.h"
+#include "crypto/sha256_compress.h"
 #include "protocol/completeness_proof.h"
 #include "storage/wal.h"
 #include "swp/search.h"
@@ -64,9 +65,11 @@ void UntrustedServer::InitInstruments() {
   ins_.index_invalidations = metrics_.GetGauge("dbph_index_invalidations");
   ins_.index_at_capacity =
       metrics_.GetGauge("dbph_index_relations_at_capacity");
-  metrics_.SetInfo("dbph_build_info", std::string("version=\"") + DBPH_VERSION +
-                                          "\",revision=\"" DBPH_GIT_DESCRIBE
-                                          "\"");
+  metrics_.SetInfo(
+      "dbph_build_info",
+      std::string("version=\"") + DBPH_VERSION +
+          "\",revision=\"" DBPH_GIT_DESCRIBE "\",sha256_kernel=\"" +
+          crypto::Sha256KernelName(crypto::ActiveSha256Kernel()) + "\"");
   // Unix wall clock at construction, so scrapes compute uptime and spot
   // restarts (the Prometheus convention for this metric name).
   metrics_.GetGauge("dbph_process_start_time_seconds")
@@ -398,7 +401,8 @@ void UntrustedServer::PublishDirtyLocked() {
     } else {
       // kMeta / kAppend: the existing document chunks are still exact —
       // share them and refresh only what moved (appended docs as one new
-      // sealed chunk; index / tree / epoch / attestation copies).
+      // sealed chunk; index / epoch / attestation copies; the trees only
+      // after an append — no kMeta path touches either tree).
       auto fresh = std::make_shared<RelationSnapshot>();
       const RelationSnapshot& old = *stored.published;
       fresh->check_length = stored.check_length;
@@ -419,12 +423,18 @@ void UntrustedServer::PublishDirtyLocked() {
             std::make_shared<const planner::TrapdoorIndex>(stored.index);
       }
       if (runtime_options_.enable_integrity) {
-        fresh->tree = std::make_shared<const crypto::MerkleTree>(stored.tree);
+        if (stored.dirty == SnapshotDirty::kMeta) {
+          fresh->tree = old.tree;
+          fresh->search = old.search;
+        } else {
+          fresh->tree =
+              std::make_shared<const crypto::MerkleTree>(stored.tree);
+          fresh->search =
+              std::make_shared<const crypto::SearchTree>(stored.search);
+        }
         fresh->epoch = stored.epoch;
         fresh->attested_epoch = stored.attested_epoch;
         fresh->root_signature = stored.root_signature;
-        fresh->search =
-            std::make_shared<const crypto::SearchTree>(stored.search);
         fresh->search_signature = stored.search_signature;
       }
       fresh->doc_generation = stored.doc_generation;

@@ -341,7 +341,8 @@ class UntrustedServer {
   /// only PublishDirtyLocked resets them.
   enum class SnapshotDirty : uint8_t {
     kNone = 0,    ///< published snapshot is current
-    kMeta = 1,    ///< index/epoch/attestation changed; documents did not
+    kMeta = 1,    ///< index/epoch/attestation changed; documents and both
+                  ///< trees did not (republish shares the trees)
     kAppend = 2,  ///< documents appended (pending_append holds them)
     kFull = 3,    ///< documents changed arbitrarily; rebuild from heap
   };

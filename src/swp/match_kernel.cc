@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <cstring>
 
+#include "crypto/sha256_compress.h"
+
 namespace dbph {
 namespace swp {
 
 namespace {
 
-constexpr size_t kLanes = 8;
+using crypto::kSha256BatchLanes;
 constexpr size_t kDigest = crypto::HmacSha256Precomputed::kDigestSize;
 
 inline uint32_t Load32BE(const uint8_t* p) {
@@ -68,7 +70,7 @@ MatchContext::MatchContext(const SwpParams& params, const Trapdoor& trapdoor)
     left_len_ = target_.size() - params_.check_length;
     msg_len_ = left_len_ + 4;
     // Lane-major message scratch plus one digest slab for the batch.
-    scratch_.resize(kLanes * msg_len_ + kLanes * kDigest);
+    scratch_.resize(kSha256BatchLanes * (msg_len_ + kDigest));
   }
 }
 
@@ -141,16 +143,19 @@ size_t MatchContext::MatchMany(std::span<const uint8_t> arena,
     return matched;
   }
 
-  // Pass 2: batched PRF, eight lanes a pass. Messages are built into
-  // lane-major scratch ((cipher XOR target) left part | counter 0),
-  // digested by the multi-way compression kernel, then compared against
-  // each word's check part with an accumulated difference mask.
+  // Pass 2: batched PRF, kSha256BatchLanes lanes a pass. Messages are
+  // built into lane-major scratch ((cipher XOR target) left part |
+  // counter 0), digested by the multi-way compression kernel, then
+  // compared against each word's check part with an accumulated
+  // difference mask.
   uint8_t* msgs = scratch_.data();
-  uint8_t* digests = scratch_.data() + kLanes * msg_len_;
-  const uint8_t* lane_ptrs[kLanes];
+  uint8_t* digests = scratch_.data() + kSha256BatchLanes * msg_len_;
+  const uint8_t* lane_ptrs[kSha256BatchLanes];
   size_t matched = 0;
-  for (size_t base = 0; base < candidates_.size(); base += kLanes) {
-    const size_t lanes = std::min(kLanes, candidates_.size() - base);
+  for (size_t base = 0; base < candidates_.size();
+       base += kSha256BatchLanes) {
+    const size_t lanes =
+        std::min(kSha256BatchLanes, candidates_.size() - base);
     for (size_t l = 0; l < lanes; ++l) {
       const uint8_t* cipher = arena.data() + refs[candidates_[base + l]].offset;
       uint8_t* msg = msgs + l * msg_len_;

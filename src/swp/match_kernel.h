@@ -66,8 +66,8 @@ class MatchContext {
 
   /// \brief Batched check of `refs.size()` candidate words against the
   /// arena: match_out[i] is 1 when refs[i] matches, else 0. PRF
-  /// evaluations run through the multi-way compression kernel, eight
-  /// lanes at a time, with zero per-word allocations.
+  /// evaluations run through the multi-way compression kernel,
+  /// crypto::kSha256BatchLanes at a time, with zero per-word allocations.
   ///
   /// Hostile refs are safe: a ref whose length differs from the
   /// trapdoor target never evaluates (exactly like the scalar length

@@ -20,6 +20,7 @@
 
 #include "client/client.h"
 #include "crypto/random.h"
+#include "crypto/sha256_compress.h"
 #include "net/frame.h"
 #include "net/net_server.h"
 #include "net/socket.h"
@@ -661,6 +662,15 @@ TEST_F(NetServerTest, StatsOverSocketCarrySeriesFromEveryLayer) {
   // Index layer gauges registered by the served server.
   EXPECT_TRUE(stats->gauges.count("dbph_index_trapdoors"));
   EXPECT_TRUE(stats->gauges.count("dbph_server_relations"));
+  // Build identity names the batch SHA-256 kernel, in the info series
+  // and in the text REPL STATS prints.
+  ASSERT_TRUE(stats->infos.count("dbph_build_info"));
+  const std::string kernel_label =
+      std::string("sha256_kernel=\"") +
+      crypto::Sha256KernelName(crypto::ActiveSha256Kernel()) + "\"";
+  EXPECT_NE(stats->infos.at("dbph_build_info").find(kernel_label),
+            std::string::npos);
+  EXPECT_NE(stats->RenderText().find(kernel_label), std::string::npos);
 }
 
 TEST_F(NetServerTest, MetricsPortServesPrometheusText) {
@@ -704,6 +714,10 @@ TEST_F(NetServerTest, MetricsPortServesPrometheusText) {
   EXPECT_NE(page.find("dbph_dispatch_lock_wait_seconds_sum"),
             std::string::npos);
   EXPECT_NE(page.find("dbph_index_trapdoors"), std::string::npos);
+  EXPECT_NE(page.find(std::string("sha256_kernel=\"") +
+                      crypto::Sha256KernelName(crypto::ActiveSha256Kernel()) +
+                      "\"} 1"),
+            std::string::npos);
 
   // Non-GET requests are refused without touching the store.
   std::string refused = scrape("POST /metrics HTTP/1.0\r\n\r\n");

@@ -7,6 +7,7 @@
 
 #include "common/bytes.h"
 #include "crypto/prf.h"
+#include "crypto/sha256_compress.h"
 #include "swp/scheme.h"
 #include "swp/search.h"
 
@@ -148,6 +149,54 @@ TEST(MatchKernelTest, SeededRandomEquivalence) {
     EXPECT_EQ(got, expected) << "word_length " << shape.word_length
                              << " check_length " << shape.check_length;
     EXPECT_EQ(matched, expected_matched);
+  }
+}
+
+// Candidate counts straddling the batch width: one short of a pass, a
+// whole pass, one over, and two passes short or over by one. Words of
+// other lengths are interleaved, so batch lanes map back to scattered
+// ref indices, and matches sit in the first and last lane of each pass
+// and in the final candidate.
+TEST(MatchKernelTest, CandidateCountsAroundBatchWidth) {
+  constexpr size_t kLanes = crypto::kSha256BatchLanes;
+  SwpParams params;  // 16 / 4
+  TestRng rng(0x1616abcd);
+  Trapdoor trapdoor = MakeTestTrapdoor(&rng, 16);
+  crypto::Prf check(trapdoor.key);
+  const auto planted_match = [&]() {
+    Bytes s = rng.NextBytes(12);
+    Bytes f = check.Eval(s, 4);
+    Bytes pad = s;
+    pad.insert(pad.end(), f.begin(), f.end());
+    return Xor(trapdoor.target, pad);
+  };
+
+  for (size_t count :
+       {kLanes - 1, kLanes, kLanes + 1, 2 * kLanes - 1, 2 * kLanes + 1}) {
+    ArenaFixture fixture;
+    size_t planted = 0;
+    for (size_t c = 0; c < count; ++c) {
+      fixture.Add(rng.NextBytes(c % 3 == 0 ? 8 : 20));  // never a candidate
+      const size_t lane = c % kLanes;
+      if (lane == 0 || lane == kLanes - 1 || c + 1 == count) {
+        fixture.Add(planted_match());
+        ++planted;
+      } else {
+        fixture.Add(rng.NextBytes(16));
+      }
+    }
+    std::vector<uint8_t> expected = ScalarMatches(params, trapdoor, fixture);
+    size_t expected_matched = 0;
+    for (uint8_t m : expected) expected_matched += m;
+    ASSERT_GE(expected_matched, planted);
+
+    MatchContext context(params, trapdoor);
+    std::vector<uint8_t> got(fixture.refs.size(), 0xff);
+    const size_t matched =
+        context.MatchMany(fixture.arena, fixture.refs, got.data());
+    EXPECT_EQ(got, expected) << count << " candidates";
+    EXPECT_EQ(matched, expected_matched) << count << " candidates";
+    EXPECT_EQ(context.match_evals(), count);
   }
 }
 
