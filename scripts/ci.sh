@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 verify: configure, build, and run every registered test, then a
 # ThreadSanitizer pass over the concurrency-sensitive suites (the server
-# is multithreaded in two layers: the net event loop and the batch worker
-# pool) and an AddressSanitizer pass over the planner/index suites (the
-# index borrows record ids and document bytes across mutations — exactly
+# is multithreaded in two layers: the net event loop and the scan worker
+# pool) and an AddressSanitizer pass over the access-path, integrity and
+# snapshot suites (snapshots share chunks and trees across publishes, and
+# a locked batch republishes between its legs while they read — exactly
 # the lifetime bugs ASan catches).
 #
 # Usage: scripts/ci.sh [build-dir]
@@ -74,8 +75,10 @@ run_tsan_stage() {
   # UntrustedServer::HandleRequest is live here (and only here in CI).
   # The recovery/differential suites run here too: the durable store's
   # background checkpointer + group-commit thread races the dispatch
-  # path, which is exactly what TSan is for. The planner suites ride
-  # along: index-path selects interleave with scan waves on the pool.
+  # path, which is exactly what TSan is for. The access-path suites ride
+  # along: index-path selects interleave with scan waves on the pool,
+  # and mixed batches memoize and republish under the dispatch lock
+  # while readers pin snapshots.
   cmake -B "$tsan_dir" -S . \
     -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -g" \
@@ -125,18 +128,21 @@ run_asan_stage() {
   # suites ride along: Feistel rounds, pads and stream inputs run on
   # stack scratch with a heap fallback for long words, and the golden and
   # reference tests drive both sides of every threshold.
+  # runtime_parallel_test is explicit: its mixed batches publish a
+  # snapshot and read it inside one locked request, memoizing (and so
+  # republishing again) while the leg still holds the older snapshot.
   cmake --build "$asan_dir" -j "$(nproc)" --target \
     planner_test sql_test differential_test storage_heapfile_test \
     integrity_test crypto_merkle_test protocol_fuzz_test \
     crypto_search_tree_test snapshot_seal_test \
     swp_match_kernel_test crypto_hmac_test crypto_feistel_test \
-    ciphertext_golden_test
+    ciphertext_golden_test runtime_parallel_test
   ctest --test-dir "$asan_dir" --output-on-failure --no-tests=error \
     -L planner -j "$(nproc)"
   ctest --test-dir "$asan_dir" --output-on-failure --no-tests=error \
     -L integrity -j "$(nproc)"
   ctest --test-dir "$asan_dir" --output-on-failure --no-tests=error \
-    -R 'storage_heapfile|swp_match_kernel|crypto_hmac|crypto_feistel|ciphertext_golden|snapshot_seal' \
+    -R 'storage_heapfile|swp_match_kernel|crypto_hmac|crypto_feistel|ciphertext_golden|snapshot_seal|runtime_parallel' \
     -j "$(nproc)"
 }
 

@@ -11,12 +11,11 @@ namespace dbph {
 namespace obs {
 
 /// \brief Per-request span breakdown: where one request's wall time went,
-/// stage by stage. Mutations fill the server's single live trace (valid
-/// because mutation dispatch is single-writer); snapshot reads fill a
-/// stack-local trace of their own, since any number of them run
-/// concurrently. Either way the trace folds into the registry histograms
-/// when the request completes; the slow-query log renders it when the
-/// total crosses --slow-query-ms.
+/// stage by stage. Every request fills a stack-local trace of its own —
+/// any number of reads run concurrently, and the read legs of a locked
+/// batch add to their batch's trace. The trace folds into the registry
+/// histograms when the request completes; the slow-query log renders it
+/// when the total crosses --slow-query-ms.
 ///
 /// Redaction contract: a rendered trace carries the operation, relation
 /// name, stage timings, and result size — all metadata Eve observes
@@ -29,7 +28,7 @@ struct QueryTrace {
   uint64_t parse_micros = 0;       ///< envelope + payload parse
   uint64_t lock_wait_micros = 0;   ///< dispatch-lock wait (mutations) or
                                    ///< observation-log-mutex wait (reads)
-  uint64_t plan_micros = 0;        ///< planner decisions (selects)
+  uint64_t plan_micros = 0;        ///< access-path decisions (selects)
   uint64_t execute_micros = 0;     ///< scan/index execution (selects)
   uint64_t execute_scan_micros = 0;   ///< execute share spent full-scanning
   uint64_t execute_index_micros = 0;  ///< execute share spent in index lookups

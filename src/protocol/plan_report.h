@@ -9,9 +9,8 @@
 namespace dbph {
 namespace protocol {
 
-/// Which access path the server's planner chose for a query. Wire-level
-/// mirror of server::planner::AccessPath (the protocol layer cannot
-/// depend on the server).
+/// Which access path a select takes on the server: a full trapdoor scan,
+/// or the posting list the trapdoor index memoized from an earlier one.
 enum class PlanAccessPath : uint8_t {
   kFullScan = 0,      ///< sharded trapdoor scan over every stored document
   kIndexLookup = 1,   ///< trapdoor posting-list hit: fetch matched ids only

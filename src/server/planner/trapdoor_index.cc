@@ -15,17 +15,6 @@ const std::vector<uint64_t>* TrapdoorIndex::Peek(
   return &postings_.Lookup(trapdoor_bytes);
 }
 
-const std::vector<uint64_t>* TrapdoorIndex::Lookup(
-    const Bytes& trapdoor_bytes) const {
-  const std::vector<uint64_t>* postings = Peek(trapdoor_bytes);
-  if (postings == nullptr) {
-    ++stats_.misses;
-  } else {
-    ++stats_.hits;
-  }
-  return postings;
-}
-
 void TrapdoorIndex::Memoize(const Bytes& trapdoor_bytes,
                             const swp::Trapdoor& trapdoor,
                             const std::vector<uint64_t>& postings) {

@@ -30,11 +30,11 @@ namespace planner {
 ///
 /// Thread model: all mutation of the *live* index happens under the
 /// server's single-writer dispatch lock, exactly like the relation map.
-/// Snapshot readers never touch the live index: each published relation
-/// snapshot carries a frozen copy, read via the stats-free Peek (hit/miss
-/// accounting for the read path lives in server-side atomics instead, and
-/// memoization of a scan a reader performed re-enters the dispatch lock —
-/// see UntrustedServer::TryMemoizeFromSnapshot). The index is volatile
+/// Selects never touch the live index: each published relation snapshot
+/// carries a frozen copy, read via Peek (hit/miss accounting lives in
+/// server-side atomics instead, and memoizing a scan a select performed
+/// takes the dispatch lock — see UntrustedServer::TryMemoizeFromSnapshot).
+/// The index is volatile
 /// cache: recovery (RestoreState / WAL replay) starts cold and
 /// deterministically rebuilds entries as queries repeat — correctness
 /// never depends on index contents.
@@ -56,11 +56,8 @@ class TrapdoorIndex {
   /// The memoized posting list for a trapdoor (record ids in storage
   /// order), or nullptr when this exact trapdoor has never completed a
   /// full scan. An empty list is a real answer ("scanned, nothing
-  /// matched"), distinct from nullptr. Lookup counts toward the
-  /// hit/miss stats (an executing query); Peek is the stats-free
-  /// variant for plan inspection (EXPLAIN), so stats keep measuring
-  /// queries served, not plans printed.
-  const std::vector<uint64_t>* Lookup(const Bytes& trapdoor_bytes) const;
+  /// matched"), distinct from nullptr. Const and stats-free, so a frozen
+  /// copy is safe to consult from any number of threads.
   const std::vector<uint64_t>* Peek(const Bytes& trapdoor_bytes) const;
 
   /// Memoizes a completed full scan. `trapdoor` is the parsed form of
@@ -106,8 +103,6 @@ class TrapdoorIndex {
   size_t num_postings() const { return postings_.size(); }
 
   struct Stats {
-    uint64_t hits = 0;          ///< lookups answered from a posting list
-    uint64_t misses = 0;        ///< lookups that fell through to a scan
     uint64_t memoized = 0;      ///< scans whose result was cached
     uint64_t append_evals = 0;  ///< trapdoor×document evaluations on append
     uint64_t invalidations = 0; ///< entries evicted by over-budget appends
@@ -123,7 +118,7 @@ class TrapdoorIndex {
   /// Keyed identically to postings_; a key present here with no postings_
   /// entry encodes a memoized empty result.
   std::map<Bytes, swp::Trapdoor> trapdoors_;
-  mutable Stats stats_;
+  Stats stats_;
 };
 
 }  // namespace planner

@@ -97,8 +97,8 @@ Status RelationSnapshot::FetchPostings(const std::vector<uint64_t>& postings,
     uint64_t position = PositionOf(packed);
     if (position == kNotFound) {
       // Unreachable by construction: the frozen index and frozen
-      // documents come from the same critical section. Fail closed like
-      // a heap miss would on the locked path.
+      // documents come from the same critical section. Fail closed, as
+      // a heap miss would.
       return Status::NotFound("record not found");
     }
     DBPH_ASSIGN_OR_RETURN(swp::EncryptedDocument parsed, ParseDoc(position));
@@ -107,16 +107,19 @@ Status RelationSnapshot::FetchPostings(const std::vector<uint64_t>& postings,
   return Status::OK();
 }
 
+size_t RelationSnapshot::ScanShardCount(size_t num_shards) const {
+  return std::min(std::max<size_t>(num_shards, 1),
+                  std::max<size_t>(num_docs, 1));
+}
+
 Status RelationSnapshot::Scan(const swp::Trapdoor& trapdoor, size_t num_shards,
                               runtime::ThreadPool* pool,
                               std::vector<SnapshotMatch>* out,
                               uint64_t* match_evals) const {
-  // Mirror runtime::ShardedRelation's balanced contiguous split so the
-  // per-shard work (and thus the match order: shard order = storage
-  // order) is identical to the locked scan path.
+  // Balanced contiguous split: the first (n % num_shards) shards get one
+  // extra document, and shard order is storage order.
   const size_t n = num_docs;
-  if (num_shards == 0) num_shards = 1;
-  num_shards = std::min(num_shards, std::max<size_t>(n, 1));
+  num_shards = ScanShardCount(num_shards);
   const size_t base = n / num_shards;
   const size_t extra = n % num_shards;
   std::vector<std::pair<size_t, size_t>> ranges;

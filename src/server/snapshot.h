@@ -20,27 +20,28 @@
 namespace dbph {
 namespace server {
 
-/// \brief Immutable published state for the snapshot (MVCC-style) read
-/// path: mutations run under the server's single-writer dispatch lock
-/// and, before acknowledging, publish a frozen copy of each touched
-/// relation via one atomic shared_ptr swap. Readers pin the current
-/// ServerSnapshot with a single acquire load and execute entirely
-/// against it — no dispatch lock, no borrowed storage views — so a
-/// racing append/delete can neither tear a result set nor splice a
-/// stale Merkle root under a proof.
+/// \brief Immutable published state for the server's one read path
+/// (MVCC-style): mutations run under the server's single-writer
+/// dispatch lock and, before acknowledging, publish a frozen copy of
+/// each touched relation via one atomic shared_ptr swap. Readers pin the
+/// current ServerSnapshot with a single acquire load and execute
+/// entirely against it — no dispatch lock, no borrowed storage views —
+/// so a racing append/delete can neither tear a result set nor splice a
+/// stale Merkle root under a proof. Every trapdoor the server evaluates
+/// is evaluated here: selects, EXPLAIN and fetches (top-level or legs of
+/// a mixed batch, which publishes before each read leg) and the match
+/// set of a delete.
 ///
 /// Everything here is deep-frozen at publish time: document bytes are
 /// OWNED copies (the heap file compacts pages in place, so borrowing
 /// record ids across a mutation is unsound), the trapdoor index is a
 /// value copy consulted only through its stats-free Peek, and the
-/// Merkle tree/epoch/attestation triple is the exact proof source the
-/// single-writer path would have used at the same state. Results and
-/// ResultProofs are byte-identical to the locked path by construction:
-/// same serialized bytes, same parse, same scan semantics, same tree.
+/// Merkle tree/epoch/attestation triple is the proof source for exactly
+/// the documents frozen beside it.
 
 /// One stored ciphertext document frozen at publish time: its heap
 /// identity (what Eve correlates across results) plus the serialized
-/// bytes as stored — exactly what heap.Get would have returned.
+/// bytes as stored — exactly what heap.Get returns.
 struct SnapshotDoc {
   uint64_t rid_packed = 0;
   Bytes bytes;
@@ -110,8 +111,8 @@ class RelationSnapshot {
   std::vector<uint64_t> chunk_first;
   /// Frozen copy of the relation's trapdoor index at publish time, or
   /// null when the runtime option disables the index. Readers consult
-  /// it only through Peek (stats-free); hit/miss accounting lives in
-  /// server-level atomics so the frozen copy stays truly immutable.
+  /// it only through Peek; hit/miss accounting lives in server-level
+  /// atomics so the frozen copy stays truly immutable.
   std::shared_ptr<const planner::TrapdoorIndex> index;
   /// Frozen Merkle tree (null when integrity is off) plus the epoch /
   /// attestation metadata proofs are built from. Pinning these with
@@ -137,8 +138,8 @@ class RelationSnapshot {
   /// prove its result still describes the live documents.
   uint64_t doc_generation = 0;
   /// Total word slots across the relation (copied from the live
-  /// relation at publish, so locked and snapshot EXPLAIN agree) — the
-  /// predicted match_evals upper bound a full scan reports.
+  /// relation at publish) — the match_evals count a full scan performs
+  /// and EXPLAIN predicts.
   uint64_t word_slots = 0;
   /// Whether Scan runs through the batched match kernel over the chunk
   /// arenas (ServerRuntimeOptions::enable_scan_kernel at publish time).
@@ -152,8 +153,7 @@ class RelationSnapshot {
   /// The frozen document at global position `position` (< num_docs).
   const SnapshotDoc& doc(uint64_t position) const;
 
-  /// Parses the frozen bytes at `position` — the snapshot twin of
-  /// runtime::ReadStoredDocument (same bytes, same parse).
+  /// Parses the frozen bytes at `position`.
   Result<swp::EncryptedDocument> ParseDoc(uint64_t position) const;
 
   /// Index-path fetch: resolves a memoized posting list (packed record
@@ -163,15 +163,20 @@ class RelationSnapshot {
   Status FetchPostings(const std::vector<uint64_t>& postings,
                        std::vector<SnapshotMatch>* out) const;
 
-  /// Scan-path execution: the sharded full trapdoor scan over the
-  /// frozen documents, mirroring runtime::ShardedRelation exactly
-  /// (same balanced contiguous split, same SwpParams, same match
-  /// predicate, storage order). `pool` null runs inline. When
-  /// use_scan_kernel is set the scan batches PRF evaluations through
-  /// one MatchContext per shard over the chunk arenas — results are
-  /// bit-identical to the scalar path, only faster. `match_evals`,
-  /// when non-null, accumulates the PRF evaluations the kernel
-  /// performed (the per-query accounting the obs stack exports).
+  /// The scan fan-out for `num_shards` requested shards: at least one,
+  /// and no more than there are documents. Scan splits into exactly
+  /// this many ranges, and EXPLAIN reports it.
+  size_t ScanShardCount(size_t num_shards) const;
+
+  /// Scan-path execution: the full trapdoor scan over the frozen
+  /// documents, split into ScanShardCount(num_shards) balanced
+  /// contiguous ranges whose matches concatenate in storage order, so
+  /// the result does not depend on the shard count. `pool` null runs
+  /// inline. When use_scan_kernel is set the scan batches PRF
+  /// evaluations through one MatchContext per shard over the chunk
+  /// arenas — results are bit-identical to the scalar path, only faster.
+  /// `match_evals`, when non-null, accumulates the PRF evaluations the
+  /// kernel performed (the per-query accounting the obs stack exports).
   Status Scan(const swp::Trapdoor& trapdoor, size_t num_shards,
               runtime::ThreadPool* pool, std::vector<SnapshotMatch>* out,
               uint64_t* match_evals = nullptr) const;

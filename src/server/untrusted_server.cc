@@ -4,6 +4,7 @@
 #include <cassert>
 #include <chrono>
 #include <ctime>
+#include <set>
 #include <utility>
 
 #include "common/logging.h"
@@ -239,53 +240,8 @@ void UntrustedServer::FlushPendingStatsLocked() {
   pending_count_ = 0;
 }
 
-void UntrustedServer::SetIndexGauges(
-    const planner::TrapdoorIndex::Stats& totals, int64_t trapdoors,
-    int64_t postings, int64_t at_capacity) {
-  // Snapshot readers consult frozen index copies through the stats-free
-  // Peek and count into the server-level atomics instead; the exported
-  // gauges are the sum of both worlds.
-  const uint64_t reader_hits =
-      reader_index_hits_.load(std::memory_order_relaxed);
-  const uint64_t reader_misses =
-      reader_index_misses_.load(std::memory_order_relaxed);
-  ins_.index_hits->Set(static_cast<int64_t>(totals.hits + reader_hits));
-  ins_.index_misses->Set(static_cast<int64_t>(totals.misses + reader_misses));
-  ins_.index_memoized->Set(static_cast<int64_t>(totals.memoized));
-  ins_.index_append_evals->Set(static_cast<int64_t>(totals.append_evals));
-  ins_.index_invalidations->Set(static_cast<int64_t>(totals.invalidations));
-  ins_.index_trapdoors->Set(trapdoors);
-  ins_.index_postings->Set(postings);
-  ins_.index_at_capacity->Set(at_capacity);
-  if (auditor_ != nullptr) auditor_->RefreshMetrics();
-}
-
-void UntrustedServer::RefreshGaugesLocked() {
-  // Every stats read folds staged request entries before snapshotting.
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    FlushPendingStatsLocked();
-  }
-  ins_.relations->Set(static_cast<int64_t>(relations_.size()));
-  planner::TrapdoorIndex::Stats totals;
-  int64_t trapdoors = 0;
-  int64_t postings = 0;
-  int64_t at_capacity = 0;
-  for (const auto& [name, stored] : relations_) {
-    const planner::TrapdoorIndex::Stats& stats = stored.index.stats();
-    totals.hits += stats.hits;
-    totals.misses += stats.misses;
-    totals.memoized += stats.memoized;
-    totals.append_evals += stats.append_evals;
-    totals.invalidations += stats.invalidations;
-    trapdoors += static_cast<int64_t>(stored.index.num_trapdoors());
-    postings += static_cast<int64_t>(stored.index.num_postings());
-    if (stored.index.AtCapacity()) ++at_capacity;
-  }
-  SetIndexGauges(totals, trapdoors, postings, at_capacity);
-}
-
 void UntrustedServer::RefreshGaugesFromSnapshot(const ServerSnapshot& snap) {
+  // Every stats read folds staged request entries before snapshotting.
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     FlushPendingStatsLocked();
@@ -298,8 +254,6 @@ void UntrustedServer::RefreshGaugesFromSnapshot(const ServerSnapshot& snap) {
   for (const auto& [name, rel] : snap.relations) {
     if (rel->index == nullptr) continue;
     const planner::TrapdoorIndex::Stats& stats = rel->index->stats();
-    totals.hits += stats.hits;
-    totals.misses += stats.misses;
     totals.memoized += stats.memoized;
     totals.append_evals += stats.append_evals;
     totals.invalidations += stats.invalidations;
@@ -307,7 +261,19 @@ void UntrustedServer::RefreshGaugesFromSnapshot(const ServerSnapshot& snap) {
     postings += static_cast<int64_t>(rel->index->num_postings());
     if (rel->index->AtCapacity()) ++at_capacity;
   }
-  SetIndexGauges(totals, trapdoors, postings, at_capacity);
+  // Selects consult the frozen indexes through the stats-free Peek and
+  // count into the server-level atomics — the only hit/miss count.
+  ins_.index_hits->Set(static_cast<int64_t>(
+      reader_index_hits_.load(std::memory_order_relaxed)));
+  ins_.index_misses->Set(static_cast<int64_t>(
+      reader_index_misses_.load(std::memory_order_relaxed)));
+  ins_.index_memoized->Set(static_cast<int64_t>(totals.memoized));
+  ins_.index_append_evals->Set(static_cast<int64_t>(totals.append_evals));
+  ins_.index_invalidations->Set(static_cast<int64_t>(totals.invalidations));
+  ins_.index_trapdoors->Set(trapdoors);
+  ins_.index_postings->Set(postings);
+  ins_.index_at_capacity->Set(at_capacity);
+  if (auditor_ != nullptr) auditor_->RefreshMetrics();
 }
 
 obs::RegistrySnapshot UntrustedServer::CollectStats() {
@@ -461,12 +427,14 @@ void UntrustedServer::PublishDirtyLocked() {
 void UntrustedServer::TryMemoizeFromSnapshot(
     const std::string& relation, const RelationSnapshot* pinned,
     const Bytes& trapdoor_bytes, const swp::Trapdoor& trapdoor,
-    const std::vector<uint64_t>& postings) {
+    const std::vector<uint64_t>& postings, bool holds_dispatch_lock) {
   if (!runtime_options_.enable_trapdoor_index) return;
-  // Best-effort only: a contended writer wins and we simply don't
-  // memoize (the next scan of this trapdoor gets another chance).
-  std::unique_lock<std::mutex> lock(dispatch_mutex_, std::try_to_lock);
-  if (!lock.owns_lock()) return;
+  // A top-level read is best-effort only: a contended writer wins and we
+  // simply don't memoize (the next scan of this trapdoor gets another
+  // chance). A read leg of a locked request already holds the mutex;
+  // locking it again from the same thread would be undefined behavior.
+  std::unique_lock<std::mutex> lock(dispatch_mutex_, std::defer_lock);
+  if (!holds_dispatch_lock && !lock.try_lock()) return;
   auto it = relations_.find(relation);
   if (it == relations_.end()) return;
   // The scan result describes the pinned snapshot's documents; it seeds
@@ -479,13 +447,6 @@ void UntrustedServer::TryMemoizeFromSnapshot(
 }
 
 // ----------------------------------------------------- typed handlers
-
-Status UntrustedServer::StoreRelation(const core::EncryptedRelation& relation) {
-  std::lock_guard<std::mutex> lock(dispatch_mutex_);
-  Status status = StoreRelationLocked(relation);
-  PublishDirtyLocked();
-  return status;
-}
 
 Status UntrustedServer::StoreRelationLocked(
     const core::EncryptedRelation& relation,
@@ -513,10 +474,7 @@ Status UntrustedServer::StoreRelationLocked(
     Bytes serialized;
     doc.AppendTo(&serialized);
     storage::RecordId rid = heap_.Insert(serialized);
-    if (integrity) {
-      stored.position_of[rid.Pack()] = stored.records.size();
-      leaves.push_back(crypto::MerkleTree::LeafHash(serialized));
-    }
+    if (integrity) leaves.push_back(crypto::MerkleTree::LeafHash(serialized));
     stored.records.push_back(rid);
     stored.word_slots += doc.words.size();
   }
@@ -529,13 +487,6 @@ Status UntrustedServer::StoreRelationLocked(
   auto [it, inserted] = relations_.emplace(relation.name, std::move(stored));
   MarkDirtyLocked(&it->second, SnapshotDirty::kFull);
   return Status::OK();
-}
-
-Status UntrustedServer::DropRelation(const std::string& name) {
-  std::lock_guard<std::mutex> lock(dispatch_mutex_);
-  Status status = DropRelationLocked(name);
-  PublishDirtyLocked();
-  return status;
 }
 
 Status UntrustedServer::DropRelationLocked(const std::string& name) {
@@ -562,20 +513,10 @@ Result<size_t> UntrustedServer::RelationSize(const std::string& name) const {
 
 Result<std::vector<swp::EncryptedDocument>> UntrustedServer::Select(
     const core::EncryptedQuery& query) {
-  // One query through the same plan/execute pipeline as a batch — the
-  // planner decides scan vs index; logging and results are identical to
-  // the historical sequential scan by the pipeline's contract.
-  auto results = SelectBatch({query});
-  return std::move(results[0]);
-}
-
-Status UntrustedServer::AttestRoot(const std::string& name, uint64_t epoch,
-                                   const crypto::MerkleTree::Hash& root,
-                                   const Bytes& signature) {
-  std::lock_guard<std::mutex> lock(dispatch_mutex_);
-  Status status = AttestRootLocked(name, epoch, root, signature);
-  PublishDirtyLocked();
-  return status;
+  std::shared_ptr<const ServerSnapshot> snap = PinSnapshot();
+  std::vector<SelectOutcome> outcomes =
+      SnapshotSelectBatch(*snap, {query}, /*scratch=*/nullptr);
+  return std::move(outcomes[0].docs);
 }
 
 Status UntrustedServer::AttestRootLocked(
@@ -624,9 +565,8 @@ Status UntrustedServer::AttestRootLocked(
 
 namespace {
 
-/// The shared proof constructor: both the locked path (live tree) and
-/// the snapshot path (frozen tree) produce proofs through this, so the
-/// two are byte-identical at equal state by construction.
+/// The proof constructor for selects and fetches, over a pinned
+/// snapshot's frozen tree, epoch and attestation.
 protocol::ResultProof BuildProofFromParts(const crypto::MerkleTree& tree,
                                           uint64_t epoch,
                                           uint64_t attested_epoch,
@@ -644,9 +584,9 @@ protocol::ResultProof BuildProofFromParts(const crypto::MerkleTree& tree,
   return proof;
 }
 
-/// The completeness twin of BuildProofFromParts: both access paths build
-/// the CompletenessProof for a queried tag from the same frozen parts,
-/// so the two are byte-identical at equal state by construction.
+/// The completeness twin of BuildProofFromParts: both access paths (scan
+/// and index) build the CompletenessProof for a queried tag from the
+/// same frozen parts, so the two are byte-identical by construction.
 protocol::CompletenessProof BuildCompletenessFromParts(
     const crypto::SearchTree& search, uint64_t epoch, uint64_t attested_epoch,
     const Bytes& search_signature, const crypto::MerkleTree::Hash& tag) {
@@ -669,12 +609,6 @@ protocol::CompletenessProof BuildCompletenessFromParts(
 
 }  // namespace
 
-protocol::ResultProof UntrustedServer::BuildProof(
-    const StoredRelation& stored, std::vector<uint64_t> positions) const {
-  return BuildProofFromParts(stored.tree, stored.epoch, stored.attested_epoch,
-                             stored.root_signature, std::move(positions));
-}
-
 runtime::ThreadPool* UntrustedServer::pool() {
   // Concurrent snapshot readers race to the first scan; call_once makes
   // the lazy spawn safe without taxing the steady state.
@@ -689,147 +623,10 @@ size_t UntrustedServer::ShardCount() {
   return 4 * pool()->num_threads();
 }
 
-planner::ExecutionContext UntrustedServer::ContextFor(StoredRelation* stored) {
-  planner::ExecutionContext ctx;
-  ctx.heap = &heap_;
-  ctx.records = &stored->records;
-  ctx.check_length = stored->check_length;
-  ctx.num_shards = ShardCount();
-  ctx.index =
-      runtime_options_.enable_trapdoor_index ? &stored->index : nullptr;
-  ctx.word_slots = stored->word_slots;
-  ctx.use_scan_kernel = runtime_options_.enable_scan_kernel;
-  return ctx;
-}
-
-std::vector<Result<std::vector<swp::EncryptedDocument>>>
-UntrustedServer::SelectBatch(const std::vector<core::EncryptedQuery>& queries) {
-  std::shared_ptr<const ServerSnapshot> snap = PinSnapshot();
-  std::vector<SnapshotSelectOutcome> outcomes =
-      SnapshotSelectBatch(*snap, queries, /*scratch=*/nullptr);
-  std::vector<Result<std::vector<swp::EncryptedDocument>>> results;
-  results.reserve(outcomes.size());
-  for (SnapshotSelectOutcome& outcome : outcomes) {
-    results.push_back(std::move(outcome.docs));
-  }
-  return results;
-}
-
 std::vector<UntrustedServer::SelectOutcome>
-UntrustedServer::SelectBatchInternal(
-    const std::vector<core::EncryptedQuery>& queries) {
-  // Resolve each query's relation into a planner task; unresolved
-  // queries carry their error through the pipeline untouched.
-  std::vector<planner::SelectTask> tasks(queries.size());
-  std::vector<StoredRelation*> resolved(queries.size(), nullptr);
-  bool any_resolved = false;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    auto it = relations_.find(queries[i].relation);
-    if (it == relations_.end()) {
-      tasks[i].resolution =
-          Status::NotFound("relation '" + queries[i].relation + "' not stored");
-      continue;
-    }
-    tasks[i].ctx = ContextFor(&it->second);
-    tasks[i].query = &queries[i];
-    resolved[i] = &it->second;
-    any_resolved = true;
-  }
-
-  const bool timed = runtime_options_.enable_metrics;
-  planner::PlanExecutor executor(any_resolved ? pool() : nullptr);
-  planner::PlanExecutor::ExecuteTiming timing;
-  std::vector<planner::PlannedOutcome> outcomes =
-      executor.Execute(tasks, timed ? &timing : nullptr);
-  if (timed) {
-    trace_.plan_micros += timing.plan_micros;
-    trace_.execute_micros += timing.index_fetch_micros + timing.scan_micros;
-    trace_.execute_index_micros += timing.index_fetch_micros;
-    trace_.execute_scan_micros += timing.scan_micros;
-    cur_.flags |= PendingRequestStat::kRanPipeline;
-    cur_.plan_micros += SaturateU32(timing.plan_micros);
-    if (timing.index_queries > 0) {
-      trace_.used_index = true;
-      cur_.flags |= PendingRequestStat::kUsedIndex;
-      cur_.index_queries += SaturateU32(timing.index_queries);
-      cur_.execute_index_micros += SaturateU32(timing.index_fetch_micros);
-    }
-    if (timing.scan_queries > 0) {
-      cur_.flags |= PendingRequestStat::kUsedScan;
-      cur_.scan_queries += SaturateU32(timing.scan_queries);
-      cur_.execute_scan_micros += SaturateU32(timing.scan_micros);
-      trace_.match_evals += timing.match_evals;
-      cur_.match_evals += SaturateU32(timing.match_evals);
-    }
-    if (trace_.relation.empty() && !queries.empty()) {
-      trace_.relation = queries.front().relation;
-    }
-  }
-  if (runtime_options_.enable_trapdoor_index) {
-    // The pipeline consulted (and possibly memoized into) each resolved
-    // relation's live index, so the frozen copies readers see must be
-    // refreshed when this locked request completes.
-    for (StoredRelation* stored : resolved) {
-      if (stored != nullptr) MarkDirtyLocked(stored, SnapshotDirty::kMeta);
-    }
-  }
-
-  // Logging happens here, on the dispatch thread, in query order — the
-  // log is indistinguishable from the same selects arriving one by one,
-  // and (by the pipeline's contract) from a sequential scan regardless
-  // of the access path each query took.
-  const bool integrity = runtime_options_.enable_integrity;
-  std::vector<SelectOutcome> results(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    if (!tasks[i].resolution.ok()) {
-      results[i].docs = tasks[i].resolution;
-      continue;
-    }
-    if (!outcomes[i].status.ok()) {
-      results[i].docs = outcomes[i].status;
-      continue;
-    }
-    QueryObservation observation;
-    observation.relation = queries[i].relation;
-    queries[i].trapdoor.AppendTo(&observation.trapdoor_bytes);
-    if (integrity) {
-      results[i].tag =
-          crypto::SearchTree::TagDigest(observation.trapdoor_bytes);
-      results[i].has_tag = true;
-    }
-    std::vector<swp::EncryptedDocument> docs;
-    docs.reserve(outcomes[i].matches.size());
-    for (runtime::ShardMatch& match : outcomes[i].matches) {
-      observation.matched_records.push_back(match.rid.Pack());
-      if (integrity) {
-        // Matches arrive in storage order (the pipeline's contract), so
-        // these leaf positions come out sorted — exactly what the proof
-        // builder and the verifier's recursion expect.
-        results[i].positions.push_back(
-            resolved[i]->position_of.at(match.rid.Pack()));
-      }
-      docs.push_back(std::move(match.doc));
-    }
-    if (auditor_ != nullptr) {
-      // The auditor consumes exactly what the observation entry records:
-      // relation, trapdoor bytes (digested immediately), matched count,
-      // and which access path answered.
-      auditor_->RecordQuery(
-          queries[i].relation, observation.trapdoor_bytes, docs.size(),
-          outcomes[i].plan.path == planner::AccessPath::kIndexLookup);
-    }
-    RecordQueryObservation(std::move(observation));
-    if (timed) trace_.result_size += docs.size();
-    results[i].docs = std::move(docs);
-    results[i].stored = resolved[i];
-  }
-  return results;
-}
-
-std::vector<UntrustedServer::SnapshotSelectOutcome>
 UntrustedServer::SnapshotSelectBatch(
     const ServerSnapshot& snap, const std::vector<core::EncryptedQuery>& queries,
-    ReadScratch* scratch) {
+    RequestScratch* scratch) {
   const bool timed = scratch != nullptr && runtime_options_.enable_metrics;
   using SteadyClock = Stopwatch::Clock;
 
@@ -843,7 +640,7 @@ UntrustedServer::SnapshotSelectBatch(
     std::vector<SnapshotMatch> matches;
   };
   std::vector<QueryState> states(queries.size());
-  std::vector<SnapshotSelectOutcome> results(queries.size());
+  std::vector<SelectOutcome> results(queries.size());
 
   // ---- plan: resolve + consult the frozen index (stats-free Peek;
   // hit/miss accounting goes to the server-level reader atomics) ----
@@ -908,8 +705,9 @@ UntrustedServer::SnapshotSelectBatch(
       for (const SnapshotMatch& match : st.matches) {
         postings.push_back(match.rid_packed);
       }
-      TryMemoizeFromSnapshot(queries[i].relation, st.rel, st.trapdoor_bytes,
-                             queries[i].trapdoor, postings);
+      TryMemoizeFromSnapshot(
+          queries[i].relation, st.rel, st.trapdoor_bytes, queries[i].trapdoor,
+          postings, scratch != nullptr && scratch->holds_dispatch_lock);
     }
   }
   SteadyClock::time_point scan_end{};
@@ -978,8 +776,9 @@ UntrustedServer::SnapshotSelectBatch(
 
   // ---- log: one short critical section for the whole batch, entries
   // in query order (the batch transcribes exactly like the same selects
-  // arriving one by one). On the read path the lock-wait metric means
-  // THIS wait — the only lock a snapshot read contends on.
+  // arriving one by one). On a top-level read the lock-wait metric means
+  // THIS wait — the only lock a snapshot read contends on (a locked
+  // request reports its dispatch-lock wait instead; see HandleRequest).
   if (!observations.empty()) {
     SteadyClock::time_point lock_start{};
     if (timed) lock_start = SteadyClock::now();
@@ -995,12 +794,6 @@ UntrustedServer::SnapshotSelectBatch(
   return results;
 }
 
-Result<protocol::PlanReport> UntrustedServer::Explain(
-    const core::EncryptedQuery& query) {
-  std::shared_ptr<const ServerSnapshot> snap = PinSnapshot();
-  return ExplainFromSnapshot(*snap, query);
-}
-
 Result<protocol::PlanReport> UntrustedServer::ExplainFromSnapshot(
     const ServerSnapshot& snap, const core::EncryptedQuery& query) {
   auto it = snap.relations.find(query.relation);
@@ -1010,13 +803,13 @@ Result<protocol::PlanReport> UntrustedServer::ExplainFromSnapshot(
   const RelationSnapshot& rel = *it->second;
   Bytes trapdoor_bytes;
   query.trapdoor.AppendTo(&trapdoor_bytes);
-  // Mirrors planner::PlanSelect + MakePlanReport against the frozen
-  // state (EXPLAIN is plan-only on both paths: the stats-free Peek,
-  // nothing executed, nothing logged).
+  // The decision SnapshotSelectBatch makes, against the same frozen
+  // state (EXPLAIN is plan-only: the stats-free Peek, nothing executed,
+  // nothing logged).
   protocol::PlanReport report;
   report.relation = query.relation;
   report.num_records = static_cast<uint32_t>(rel.num_docs);
-  report.num_shards = static_cast<uint32_t>(ShardCount());
+  report.num_shards = static_cast<uint32_t>(rel.ScanShardCount(ShardCount()));
   report.index_enabled = rel.index != nullptr;
   report.indexed_trapdoors = static_cast<uint32_t>(
       rel.index != nullptr ? rel.index->num_trapdoors() : 0);
@@ -1032,15 +825,6 @@ Result<protocol::PlanReport> UntrustedServer::ExplainFromSnapshot(
   // Scan path: every stored word slot is matched exactly once.
   report.match_evals = rel.word_slots;
   return report;
-}
-
-Status UntrustedServer::AppendTuples(
-    const std::string& name,
-    const std::vector<swp::EncryptedDocument>& documents) {
-  std::lock_guard<std::mutex> lock(dispatch_mutex_);
-  Status status = AppendTuplesLocked(name, documents);
-  PublishDirtyLocked();
-  return status;
 }
 
 Status UntrustedServer::AppendTuplesLocked(
@@ -1068,7 +852,6 @@ Status UntrustedServer::AppendTuplesLocked(
     bytes += serialized.size();
     storage::RecordId rid = heap_.Insert(serialized);
     if (integrity) {
-      it->second.position_of[rid.Pack()] = it->second.records.size();
       it->second.tree.AppendLeaf(crypto::MerkleTree::LeafHash(serialized));
     }
     it->second.records.push_back(rid);
@@ -1092,97 +875,67 @@ Status UntrustedServer::AppendTuplesLocked(
   return Status::OK();
 }
 
-Result<size_t> UntrustedServer::DeleteWhere(
-    const core::EncryptedQuery& query) {
-  std::lock_guard<std::mutex> lock(dispatch_mutex_);
-  auto removed = DeleteWhereInternal(query, /*removed_out=*/nullptr);
-  PublishDirtyLocked();
-  return removed;
-}
-
-Result<size_t> UntrustedServer::DeleteWhereInternal(
+Result<size_t> UntrustedServer::DeleteWhereLocked(
     const core::EncryptedQuery& query,
-    std::vector<std::pair<uint64_t, Bytes>>* removed_out) {
+    std::vector<std::pair<uint64_t, Bytes>>* removed_out,
+    RequestScratch* scratch) {
   auto it = relations_.find(query.relation);
   if (it == relations_.end()) {
     return Status::NotFound("relation '" + query.relation + "' not stored");
   }
-  const bool integrity = runtime_options_.enable_integrity;
-  swp::SwpParams params;
-  params.word_length = query.trapdoor.target.size();
-  params.check_length = it->second.check_length;
+  StoredRelation& stored = it->second;
+  // Publish first (an earlier leg of this batch may have written), then
+  // take the match set from the same snapshot scan a select of this
+  // trapdoor runs. Nothing is mutated unless the scan succeeds.
+  PublishDirtyLocked();
+  const RelationSnapshot& rel = *stored.published;
+  std::vector<SnapshotMatch> matches;
+  uint64_t match_evals = 0;
+  DBPH_RETURN_IF_ERROR(rel.Scan(query.trapdoor, ShardCount(), pool(),
+                                &matches, &match_evals));
 
   QueryObservation observation;
   observation.relation = query.relation;
   query.trapdoor.AppendTo(&observation.trapdoor_bytes);
-
-  // One precomputed schedule for the whole delete scan. A delete only
-  // observes membership (never which slot matched), so the kernel path
-  // may short-circuit a document at its first matching word — the kept
-  // set, observation entry, and manifest are identical to the scalar
-  // sweep.
-  const bool use_kernel = runtime_options_.enable_scan_kernel;
-  swp::MatchContext context(params, query.trapdoor);
-  std::vector<storage::RecordId> kept;
+  // Pre-delete leaf positions, in storage order: with integrity on, the
+  // manifest the client checks against its own tree before mirroring
+  // the removal.
   std::vector<uint64_t> removed_positions;
-  size_t position = 0;
-  size_t removed = 0;
-  for (const auto& rid : it->second.records) {
-    DBPH_ASSIGN_OR_RETURN(swp::EncryptedDocument doc,
-                          runtime::ReadStoredDocument(heap_, rid));
-    bool matched;
-    if (use_kernel) {
-      matched = false;
-      for (const Bytes& word : doc.words) {
-        if (context.Matches(word)) {
-          matched = true;
-          break;
-        }
-      }
-    } else {
-      matched = !swp::SearchDocument(params, query.trapdoor, doc).empty();
+  removed_positions.reserve(matches.size());
+  for (const SnapshotMatch& match : matches) {
+    observation.matched_records.push_back(match.rid_packed);
+    removed_positions.push_back(match.position);
+    if (removed_out != nullptr) {
+      removed_out->emplace_back(match.position, rel.doc(match.position).bytes);
     }
-    if (!matched) {
-      kept.push_back(rid);
-    } else {
-      observation.matched_records.push_back(rid.Pack());
-      if (integrity) {
-        // Pre-delete leaf positions, in storage order: the manifest the
-        // client checks against its own tree before mirroring the
-        // removal.
-        removed_positions.push_back(position);
-        if (removed_out != nullptr) {
-          Bytes serialized;
-          doc.AppendTo(&serialized);
-          removed_out->emplace_back(position, std::move(serialized));
-        }
-      }
-      DBPH_RETURN_IF_ERROR(heap_.Delete(rid));
-      it->second.word_slots -= doc.words.size();
-      ++removed;
-    }
-    ++position;
+    DBPH_RETURN_IF_ERROR(
+        heap_.Delete(storage::RecordId::Unpack(match.rid_packed)));
+    stored.word_slots -= match.doc.words.size();
   }
-  it->second.records = std::move(kept);
+  std::vector<storage::RecordId> kept;
+  kept.reserve(stored.records.size() - matches.size());
+  size_t next = 0;
+  for (size_t pos = 0; pos < stored.records.size(); ++pos) {
+    if (next < removed_positions.size() && removed_positions[next] == pos) {
+      ++next;
+    } else {
+      kept.push_back(stored.records[pos]);
+    }
+  }
+  stored.records = std::move(kept);
+  const size_t removed = matches.size();
   if (runtime_options_.enable_metrics) {
-    trace_.relation = query.relation;
-    trace_.result_size += removed;
-    trace_.match_evals += context.match_evals();
-    cur_.match_evals += SaturateU32(context.match_evals());
+    scratch->trace.relation = query.relation;
+    scratch->trace.result_size += removed;
+    scratch->trace.match_evals += match_evals;
+    scratch->cur.match_evals += SaturateU32(match_evals);
   }
-  if (integrity) {
-    it->second.tree.RemoveSorted(removed_positions);
+  if (runtime_options_.enable_integrity) {
+    stored.tree.RemoveSorted(removed_positions);
     // Both sides apply the identical transform from the (verified)
     // manifest positions, so the search roots stay in lockstep.
-    it->second.search.ApplyDelete(removed_positions);
-    ++it->second.epoch;
-    if (removed > 0) {
-      // Surviving leaves shifted left; rebuild the rid → position map.
-      it->second.position_of.clear();
-      for (size_t i = 0; i < it->second.records.size(); ++i) {
-        it->second.position_of[it->second.records[i].Pack()] = i;
-      }
-    }
+    stored.search.ApplyDelete(removed_positions);
+    ++stored.epoch;
   }
   if (runtime_options_.enable_trapdoor_index) {
     // Deleted records leave every posting list (an already-memoized
@@ -1190,7 +943,7 @@ Result<size_t> UntrustedServer::DeleteWhereInternal(
     // what a rescan would find). The delete's trapdoor is deliberately
     // NOT memoized fresh: delete traffic would otherwise fill the
     // capped memo with entries only selects repay.
-    it->second.index.OnDelete(observation.matched_records);
+    stored.index.OnDelete(observation.matched_records);
   }
   if (auditor_ != nullptr) {
     // Deletes leak exactly like selects (matched identities via a full
@@ -1201,26 +954,9 @@ Result<size_t> UntrustedServer::DeleteWhereInternal(
   RecordQueryObservation(std::move(observation));
   // A match-less delete still moved the epoch (and possibly index
   // stats); with matches the document set itself changed.
-  MarkDirtyLocked(&it->second,
+  MarkDirtyLocked(&stored,
                   removed > 0 ? SnapshotDirty::kFull : SnapshotDirty::kMeta);
   return removed;
-}
-
-Result<std::vector<swp::EncryptedDocument>> UntrustedServer::FetchRelation(
-    const std::string& name) const {
-  std::shared_ptr<const ServerSnapshot> snap = PinSnapshot();
-  auto it = snap->relations.find(name);
-  if (it == snap->relations.end()) {
-    return Status::NotFound("relation '" + name + "' not stored");
-  }
-  const RelationSnapshot& rel = *it->second;
-  std::vector<swp::EncryptedDocument> documents;
-  documents.reserve(rel.num_docs);
-  for (uint64_t pos = 0; pos < rel.num_docs; ++pos) {
-    DBPH_ASSIGN_OR_RETURN(swp::EncryptedDocument doc, rel.ParseDoc(pos));
-    documents.push_back(std::move(doc));
-  }
-  return documents;
 }
 
 Result<std::vector<swp::EncryptedDocument>>
@@ -1232,8 +968,10 @@ UntrustedServer::FetchRelationLocked(const std::string& name) const {
   std::vector<swp::EncryptedDocument> documents;
   documents.reserve(it->second.records.size());
   for (const auto& rid : it->second.records) {
+    DBPH_ASSIGN_OR_RETURN(Bytes serialized, heap_.Get(rid));
+    ByteReader reader(serialized);
     DBPH_ASSIGN_OR_RETURN(swp::EncryptedDocument doc,
-                          runtime::ReadStoredDocument(heap_, rid));
+                          swp::EncryptedDocument::ReadFrom(&reader));
     documents.push_back(std::move(doc));
   }
   return documents;
@@ -1309,10 +1047,17 @@ Status UntrustedServer::RestoreStateLocked(const Bytes& data) {
   };
   std::vector<LoadedRelation> loaded;
   loaded.reserve(count);
+  std::set<std::string> names;
   for (uint32_t i = 0; i < count; ++i) {
     LoadedRelation entry;
     DBPH_ASSIGN_OR_RETURN(entry.relation,
                           core::EncryptedRelation::ReadFrom(&reader));
+    // A repeated name would only fail in StoreRelationLocked, after the
+    // old state is gone: reject it here, before anything is replaced.
+    if (!names.insert(entry.relation.name).second) {
+      return Status::DataLoss("duplicate relation '" + entry.relation.name +
+                              "' in state image");
+    }
     if (version >= 2) {
       DBPH_ASSIGN_OR_RETURN(entry.epoch, reader.ReadUint64());
       DBPH_ASSIGN_OR_RETURN(entry.attested_epoch, reader.ReadUint64());
@@ -1396,37 +1141,7 @@ protocol::Envelope MakeSelectResultEnvelope(
 }  // namespace
 
 protocol::Envelope UntrustedServer::MakeSelectResponse(
-    SelectOutcome* outcome) {
-  if (!outcome->docs.ok()) {
-    return protocol::MakeErrorEnvelope(outcome->docs.status());
-  }
-  if (runtime_options_.enable_integrity && outcome->stored != nullptr) {
-    const bool timed = runtime_options_.enable_metrics;
-    Stopwatch::Clock::time_point start{};
-    if (timed) start = Stopwatch::Clock::now();
-    protocol::ResultProof proof =
-        BuildProof(*outcome->stored, std::move(outcome->positions));
-    protocol::CompletenessProof completeness;
-    if (outcome->has_tag) {
-      completeness = BuildCompletenessFromParts(
-          outcome->stored->search, outcome->stored->epoch,
-          outcome->stored->attested_epoch, outcome->stored->search_signature,
-          outcome->tag);
-    }
-    if (timed) {
-      uint64_t micros = MicrosBetween(start, Stopwatch::Clock::now());
-      trace_.proof_micros += micros;
-      cur_.flags |= PendingRequestStat::kBuiltProof;
-      cur_.proof_micros += SaturateU32(micros);
-    }
-    return MakeSelectResultEnvelope(*outcome->docs, &proof,
-                                    outcome->has_tag ? &completeness : nullptr);
-  }
-  return MakeSelectResultEnvelope(*outcome->docs, nullptr, nullptr);
-}
-
-protocol::Envelope UntrustedServer::MakeSnapshotSelectResponse(
-    SnapshotSelectOutcome* outcome, ReadScratch* scratch) {
+    SelectOutcome* outcome, RequestScratch* scratch) {
   if (!outcome->docs.ok()) {
     return protocol::MakeErrorEnvelope(outcome->docs.status());
   }
@@ -1461,47 +1176,68 @@ protocol::Envelope UntrustedServer::MakeSnapshotSelectResponse(
   return MakeSelectResultEnvelope(*outcome->docs, nullptr, nullptr);
 }
 
-protocol::Envelope UntrustedServer::DispatchBatch(
-    const protocol::Envelope& request) {
-  using protocol::Envelope;
+namespace {
+
+/// Request types DispatchRead serves against a published snapshot,
+/// whether they arrive top-level or as a leg of a locked batch.
+bool IsReadType(protocol::MessageType type) {
   using protocol::MessageType;
+  switch (type) {
+    case MessageType::kSelect:
+    case MessageType::kExplain:
+    case MessageType::kFetchRelation:
+    case MessageType::kStats:
+    case MessageType::kLeakageReport:
+    case MessageType::kPing:
+      return true;
+    default:
+      return false;
+  }
+}
+
+bool IsAllSelectBatch(const protocol::Envelope& envelope) {
+  auto parts = protocol::ParseBatchPayload(envelope.payload);
+  if (!parts.ok()) return false;  // the locked path reproduces the error
+  for (const auto& part : *parts) {
+    if (part.type != protocol::MessageType::kSelect) return false;
+  }
+  return true;
+}
+
+/// Read-shaped requests execute against the published snapshot without
+/// the dispatch lock. Everything else — including batches with even one
+/// mutating part — serializes on the single-writer locked path.
+bool IsSnapshotRead(const protocol::Envelope& envelope) {
+  if (envelope.type == protocol::MessageType::kBatchRequest) {
+    return IsAllSelectBatch(envelope);
+  }
+  return IsReadType(envelope.type);
+}
+
+}  // namespace
+
+protocol::Envelope UntrustedServer::DispatchBatch(
+    const protocol::Envelope& request, RequestScratch* scratch) {
   auto parts = protocol::ParseBatchPayload(request.payload);
   if (!parts.ok()) return protocol::MakeErrorEnvelope(parts.status());
 
-  // Sub-requests execute in order. Maximal runs of consecutive selects
-  // become one parallel wave; any mutating operation in between acts as
-  // a barrier, so a select always sees every earlier write in its batch.
-  // (All-select batches never reach here — they take the snapshot read
-  // path; this locked path serves exactly the mixed batches.)
-  std::vector<Envelope> responses(parts->size());
-  size_t i = 0;
-  while (i < parts->size()) {
-    if ((*parts)[i].type != MessageType::kSelect) {
-      responses[i] = Dispatch((*parts)[i]);
-      ++i;
-      continue;
-    }
-    std::vector<core::EncryptedQuery> wave;
-    std::vector<size_t> wave_slots;
-    while (i < parts->size() && (*parts)[i].type == MessageType::kSelect) {
-      ByteReader reader((*parts)[i].payload);
-      auto query = core::EncryptedQuery::ReadFrom(&reader);
-      if (!query.ok()) {
-        responses[i] = protocol::MakeErrorEnvelope(query.status());
-      } else {
-        wave.push_back(std::move(*query));
-        wave_slots.push_back(i);
-      }
-      ++i;
-    }
-    auto results = SelectBatchInternal(wave);
-    for (size_t k = 0; k < wave_slots.size(); ++k) {
-      responses[wave_slots[k]] = MakeSelectResponse(&results[k]);
+  // Sub-requests execute in order. A read leg first publishes every
+  // write applied so far, so it sees the earlier writes in its batch,
+  // and then runs exactly as it would top-level: one read path.
+  std::vector<protocol::Envelope> responses;
+  responses.reserve(parts->size());
+  for (const protocol::Envelope& part : *parts) {
+    if (IsReadType(part.type)) {
+      PublishDirtyLocked();
+      std::shared_ptr<const ServerSnapshot> snap = PinSnapshot();
+      responses.push_back(DispatchRead(part, *snap, scratch));
+    } else {
+      responses.push_back(Dispatch(part, scratch));
     }
   }
 
-  Envelope response;
-  response.type = MessageType::kBatchResponse;
+  protocol::Envelope response;
+  response.type = protocol::MessageType::kBatchResponse;
   response.payload = protocol::SerializeBatchPayload(responses);
   return response;
 }
@@ -1516,7 +1252,7 @@ Status UntrustedServer::LogMutation(const protocol::Envelope& request) {
 }
 
 protocol::Envelope UntrustedServer::Dispatch(
-    const protocol::Envelope& request) {
+    const protocol::Envelope& request, RequestScratch* scratch) {
   using protocol::Envelope;
   using protocol::MessageType;
   switch (request.type) {
@@ -1544,87 +1280,17 @@ protocol::Envelope UntrustedServer::Dispatch(
       Status status = StoreRelationLocked(
           *relation, has_search ? &search_entries : nullptr);
       if (!status.ok()) return protocol::MakeErrorEnvelope(status);
+      // Publish while the parsed request is still allocated, so the
+      // snapshot's long-lived copies land above the request's transient
+      // buffers: freed, those become bins that malloc_trim releases
+      // rather than one resident top of this thread's malloc arena.
+      PublishDirtyLocked();
       Envelope ok;
       ok.type = MessageType::kStoreOk;
       return ok;
     }
-    case MessageType::kSelect: {
-      ByteReader reader(request.payload);
-      auto query = core::EncryptedQuery::ReadFrom(&reader);
-      if (!query.ok()) return protocol::MakeErrorEnvelope(query.status());
-      auto outcomes = SelectBatchInternal({*query});
-      return MakeSelectResponse(&outcomes[0]);
-    }
-    case MessageType::kExplain: {
-      // Plan-only: parses like kSelect, executes nothing, logs nothing
-      // (no matches are computed, so there is no query observation — the
-      // report is a function of state Eve already holds). Served from
-      // LIVE state, not the published snapshot: a mixed batch may have
-      // mutated this relation earlier in the same batch, and its EXPLAIN
-      // legs must see those writes (the snapshot refreshes only when the
-      // whole locked request completes).
-      ByteReader reader(request.payload);
-      auto query = core::EncryptedQuery::ReadFrom(&reader);
-      if (!query.ok()) return protocol::MakeErrorEnvelope(query.status());
-      auto it = relations_.find(query->relation);
-      if (it == relations_.end()) {
-        return protocol::MakeErrorEnvelope(Status::NotFound(
-            "relation '" + query->relation + "' not stored"));
-      }
-      planner::ExecutionContext ctx = ContextFor(&it->second);
-      Bytes trapdoor_bytes;
-      query->trapdoor.AppendTo(&trapdoor_bytes);
-      planner::QueryPlan plan = planner::PlanSelect(
-          ctx, trapdoor_bytes, /*postings_out=*/nullptr,
-          /*record_stats=*/false);
-      Envelope response;
-      response.type = MessageType::kExplainResult;
-      planner::MakePlanReport(ctx, plan, query->relation)
-          .AppendTo(&response.payload);
-      return response;
-    }
     case MessageType::kBatchRequest:
-      return DispatchBatch(request);
-    case MessageType::kStats: {
-      // Keys-free live stats: everything in the snapshot is derived from
-      // Eve's own observations (op counts, timings, sizes) — safe to
-      // serve to anyone who can already reach the wire. Carries no
-      // request payload by definition.
-      if (!request.payload.empty()) {
-        return protocol::MakeErrorEnvelope(
-            Status::InvalidArgument("kStats carries no payload"));
-      }
-      RefreshGaugesLocked();
-      Envelope response;
-      response.type = MessageType::kStatsResult;
-      metrics_.Snapshot().AppendTo(&response.payload);
-      return response;
-    }
-    case MessageType::kLeakageReport: {
-      // The adversary's view of itself: salted tag digests, counts, and
-      // derived rates only — never raw trapdoor or ciphertext bytes
-      // (the auditor's redaction contract). Carries no request payload.
-      if (!request.payload.empty()) {
-        return protocol::MakeErrorEnvelope(
-            Status::InvalidArgument("kLeakageReport carries no payload"));
-      }
-      if (auditor_ == nullptr) {
-        return protocol::MakeErrorEnvelope(Status::FailedPrecondition(
-            "leakage auditor disabled (--leakage=off)"));
-      }
-      Envelope response;
-      response.type = MessageType::kLeakageReportResult;
-      auditor_->Report().AppendTo(&response.payload);
-      return response;
-    }
-    case MessageType::kPing: {
-      // Keys-free health check: echo the client's cookie. Pings carry no
-      // trapdoors and match nothing, so they are not query observations.
-      Envelope pong;
-      pong.type = MessageType::kPong;
-      pong.payload = request.payload;
-      return pong;
-    }
+      return DispatchBatch(request, scratch);
     case MessageType::kFlush: {
       // Durability point: every mutation acknowledged before this reply
       // is on stable storage. Carries no payload by definition.
@@ -1692,7 +1358,7 @@ protocol::Envelope UntrustedServer::Dispatch(
       const bool integrity = runtime_options_.enable_integrity;
       std::vector<std::pair<uint64_t, Bytes>> manifest;
       auto removed =
-          DeleteWhereInternal(*query, integrity ? &manifest : nullptr);
+          DeleteWhereLocked(*query, integrity ? &manifest : nullptr, scratch);
       if (!removed.ok()) return protocol::MakeErrorEnvelope(removed.status());
       Envelope response;
       response.type = MessageType::kDeleteResult;
@@ -1706,38 +1372,6 @@ protocol::Envelope UntrustedServer::Dispatch(
         for (const auto& [position, doc_bytes] : manifest) {
           AppendUint64(&response.payload, position);
           AppendLengthPrefixed(&response.payload, doc_bytes);
-        }
-      }
-      return response;
-    }
-    case MessageType::kFetchRelation: {
-      // Locked (mixed-batch) fetch: live heap + live tree, so a fetch
-      // after an append in the same batch returns the appended rows.
-      auto docs = FetchRelationLocked(ToString(request.payload));
-      if (!docs.ok()) return protocol::MakeErrorEnvelope(docs.status());
-      Envelope response;
-      response.type = MessageType::kFetchResult;
-      AppendUint32(&response.payload, static_cast<uint32_t>(docs->size()));
-      for (const auto& doc : *docs) doc.AppendTo(&response.payload);
-      if (runtime_options_.enable_integrity) {
-        // Whole-relation completeness proof: positions [0, n) — the
-        // client verifies it received every leaf, in order.
-        auto it = relations_.find(ToString(request.payload));
-        if (it != relations_.end()) {
-          std::vector<uint64_t> all(it->second.records.size());
-          for (size_t i = 0; i < all.size(); ++i) all[i] = i;
-          protocol::ResultProof proof =
-              BuildProof(it->second, std::move(all));
-          proof.AppendTo(&response.payload);
-          // Search-structure dump: the bootstrap source SyncIntegrity
-          // rebuilds its mirror from, with the owner's signature when
-          // the current epoch is attested.
-          protocol::AppendSearchEntries(it->second.search.entries(),
-                                        &response.payload);
-          AppendLengthPrefixed(&response.payload,
-                               it->second.attested_epoch == it->second.epoch
-                                   ? it->second.search_signature
-                                   : Bytes{});
         }
       }
       return response;
@@ -1800,11 +1434,11 @@ protocol::Envelope UntrustedServer::Dispatch(
   }
 }
 
-// -------------------------------------------- snapshot read dispatch
+// ---------------------------------------------------- read dispatch
 
 protocol::Envelope UntrustedServer::DispatchRead(
     const protocol::Envelope& request, const ServerSnapshot& snap,
-    ReadScratch* scratch) {
+    RequestScratch* scratch) {
   using protocol::Envelope;
   using protocol::MessageType;
   switch (request.type) {
@@ -1813,11 +1447,12 @@ protocol::Envelope UntrustedServer::DispatchRead(
       auto query = core::EncryptedQuery::ReadFrom(&reader);
       if (!query.ok()) return protocol::MakeErrorEnvelope(query.status());
       auto outcomes = SnapshotSelectBatch(snap, {*query}, scratch);
-      return MakeSnapshotSelectResponse(&outcomes[0], scratch);
+      return MakeSelectResponse(&outcomes[0], scratch);
     }
     case MessageType::kBatchRequest: {
       // Routing guarantees every part is a kSelect (mixed batches take
-      // the locked path); the whole batch becomes one snapshot wave.
+      // the locked path, which hands their legs here one by one); the
+      // whole batch becomes one snapshot wave.
       auto parts = protocol::ParseBatchPayload(request.payload);
       if (!parts.ok()) return protocol::MakeErrorEnvelope(parts.status());
       std::vector<Envelope> responses(parts->size());
@@ -1838,7 +1473,7 @@ protocol::Envelope UntrustedServer::DispatchRead(
       auto results = SnapshotSelectBatch(snap, wave, scratch);
       for (size_t k = 0; k < wave_slots.size(); ++k) {
         responses[wave_slots[k]] =
-            MakeSnapshotSelectResponse(&results[k], scratch);
+            MakeSelectResponse(&results[k], scratch);
       }
       Envelope response;
       response.type = MessageType::kBatchResponse;
@@ -1846,6 +1481,9 @@ protocol::Envelope UntrustedServer::DispatchRead(
       return response;
     }
     case MessageType::kExplain: {
+      // Plan-only: parses like kSelect, executes nothing, logs nothing
+      // (no matches are computed, so there is no query observation — the
+      // report is a function of state Eve already holds).
       ByteReader reader(request.payload);
       auto query = core::EncryptedQuery::ReadFrom(&reader);
       if (!query.ok()) return protocol::MakeErrorEnvelope(query.status());
@@ -1875,6 +1513,8 @@ protocol::Envelope UntrustedServer::DispatchRead(
                                 doc_bytes.end());
       }
       if (rel.tree != nullptr) {
+        // Whole-relation completeness proof: positions [0, n) — the
+        // client verifies it received every leaf, in order.
         std::vector<uint64_t> all(rel.num_docs);
         for (size_t i = 0; i < all.size(); ++i) all[i] = i;
         protocol::ResultProof proof =
@@ -1882,6 +1522,9 @@ protocol::Envelope UntrustedServer::DispatchRead(
                                 rel.root_signature, std::move(all));
         proof.AppendTo(&response.payload);
         if (rel.search != nullptr) {
+          // Search-structure dump: the bootstrap source SyncIntegrity
+          // rebuilds its mirror from, with the owner's signature when
+          // the current epoch is attested.
           protocol::AppendSearchEntries(rel.search->entries(),
                                         &response.payload);
           AppendLengthPrefixed(&response.payload,
@@ -1893,6 +1536,10 @@ protocol::Envelope UntrustedServer::DispatchRead(
       return response;
     }
     case MessageType::kStats: {
+      // Keys-free live stats: everything in the snapshot is derived from
+      // Eve's own observations (op counts, timings, sizes) — safe to
+      // serve to anyone who can already reach the wire. Carries no
+      // request payload by definition.
       if (!request.payload.empty()) {
         return protocol::MakeErrorEnvelope(
             Status::InvalidArgument("kStats carries no payload"));
@@ -1904,6 +1551,9 @@ protocol::Envelope UntrustedServer::DispatchRead(
       return response;
     }
     case MessageType::kLeakageReport: {
+      // The adversary's view of itself: salted tag digests, counts, and
+      // derived rates only — never raw trapdoor or ciphertext bytes
+      // (the auditor's redaction contract). Carries no request payload.
       if (!request.payload.empty()) {
         return protocol::MakeErrorEnvelope(
             Status::InvalidArgument("kLeakageReport carries no payload"));
@@ -1918,50 +1568,20 @@ protocol::Envelope UntrustedServer::DispatchRead(
       return response;
     }
     case MessageType::kPing: {
+      // Keys-free health check: echo the client's cookie. Pings carry no
+      // trapdoors and match nothing, so they are not query observations.
       Envelope pong;
       pong.type = MessageType::kPong;
       pong.payload = request.payload;
       return pong;
     }
     default:
-      // Unreachable via IsSnapshotRead routing; fail like Dispatch would.
+      // Unreachable via IsSnapshotRead / IsReadType routing; fail like
+      // Dispatch would.
       return protocol::MakeErrorEnvelope(
           Status::InvalidArgument("unexpected message type"));
   }
 }
-
-namespace {
-
-bool IsAllSelectBatch(const protocol::Envelope& envelope) {
-  auto parts = protocol::ParseBatchPayload(envelope.payload);
-  if (!parts.ok()) return false;  // the locked path reproduces the error
-  for (const auto& part : *parts) {
-    if (part.type != protocol::MessageType::kSelect) return false;
-  }
-  return true;
-}
-
-/// Read-shaped requests execute against the published snapshot without
-/// the dispatch lock. Everything else — including batches with even one
-/// mutating part — serializes on the single-writer locked path.
-bool IsSnapshotRead(const protocol::Envelope& envelope) {
-  using protocol::MessageType;
-  switch (envelope.type) {
-    case MessageType::kSelect:
-    case MessageType::kExplain:
-    case MessageType::kFetchRelation:
-    case MessageType::kStats:
-    case MessageType::kLeakageReport:
-    case MessageType::kPing:
-      return true;
-    case MessageType::kBatchRequest:
-      return IsAllSelectBatch(envelope);
-    default:
-      return false;
-  }
-}
-
-}  // namespace
 
 Bytes UntrustedServer::HandleReadRequest(const protocol::Envelope& envelope,
                                          uint64_t parse_micros) {
@@ -1970,7 +1590,7 @@ Bytes UntrustedServer::HandleReadRequest(const protocol::Envelope& envelope,
   if (!timed) return DispatchRead(envelope, *snap, nullptr).Serialize();
 
   using SteadyClock = Stopwatch::Clock;
-  ReadScratch scratch;
+  RequestScratch scratch;
   scratch.trace.op = OpSlug(envelope.type);
   scratch.trace.parse_micros = parse_micros;
   SteadyClock::time_point started = SteadyClock::now();
@@ -2029,23 +1649,20 @@ Bytes UntrustedServer::HandleRequest(const Bytes& request,
   // Single-writer mutation loop: concurrent mutators queue here; snapshot
   // reads never do. Storage, the relation map, and the Merkle trees are
   // only ever touched under this lock.
+  RequestScratch scratch;
+  scratch.holds_dispatch_lock = true;
   std::lock_guard<std::mutex> lock(dispatch_mutex_);
   if (!timed) {
-    protocol::Envelope response = Dispatch(*envelope);
+    protocol::Envelope response = Dispatch(*envelope, &scratch);
     PublishDirtyLocked();
     return response.Serialize();
   }
 
   SteadyClock::time_point locked = SteadyClock::now();
-  // trace_ and cur_ are members (not locals) so the select pipeline and
-  // proof builder — called below Dispatch, still under this lock — can
-  // accumulate their stage spans into the same request's entry.
-  trace_.Reset();
-  cur_ = PendingRequestStat{};
-  trace_.op = OpSlug(envelope->type);
-  trace_.parse_micros = MicrosBetween(entered, parsed);
-  trace_.lock_wait_micros = MicrosBetween(parsed, locked);
-  protocol::Envelope response = Dispatch(*envelope);
+  scratch.trace.op = OpSlug(envelope->type);
+  scratch.trace.parse_micros = MicrosBetween(entered, parsed);
+  const uint64_t lock_wait_micros = MicrosBetween(parsed, locked);
+  protocol::Envelope response = Dispatch(*envelope, &scratch);
   // Publishing is part of the mutation's cost (and its handle span):
   // readers must see this request's effects the moment its response can
   // be on the wire.
@@ -2054,11 +1671,15 @@ Bytes UntrustedServer::HandleRequest(const Bytes& request,
   Bytes wire = response.Serialize();
   SteadyClock::time_point serialized = SteadyClock::now();
   uint64_t handle_micros = MicrosBetween(locked, handled);
-  trace_.serialize_micros = MicrosBetween(handled, serialized);
-  trace_.total_micros = trace_.parse_micros + trace_.lock_wait_micros +
-                        handle_micros + trace_.serialize_micros;
-  RecordRequestMetrics(trace_, &cur_, envelope->type, response.type,
-                       handle_micros);
+  scratch.trace.serialize_micros = MicrosBetween(handled, serialized);
+  // A locked request's lock_wait is the dispatch-lock wait alone: its
+  // select legs' observation-log waits are sub-spans of handle, so they
+  // are not counted a second time.
+  scratch.trace.lock_wait_micros = lock_wait_micros;
+  scratch.trace.total_micros = scratch.trace.parse_micros + lock_wait_micros +
+                               handle_micros + scratch.trace.serialize_micros;
+  RecordRequestMetrics(scratch.trace, &scratch.cur, envelope->type,
+                       response.type, handle_micros);
   return wire;
 }
 

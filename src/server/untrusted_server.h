@@ -8,7 +8,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -24,7 +23,6 @@
 #include "protocol/plan_report.h"
 #include "protocol/result_proof.h"
 #include "server/observation.h"
-#include "server/planner/planner.h"
 #include "server/planner/trapdoor_index.h"
 #include "server/runtime/thread_pool.h"
 #include "server/snapshot.h"
@@ -33,7 +31,8 @@
 namespace dbph {
 namespace server {
 
-/// \brief Tuning for the server's parallel batch runtime and planner.
+/// \brief Tuning for the server: scan parallelism, the trapdoor index,
+/// the scan kernel, integrity and observability.
 struct ServerRuntimeOptions {
   /// Worker threads for batched selects. 0 = hardware concurrency.
   size_t num_threads = 0;
@@ -43,10 +42,9 @@ struct ServerRuntimeOptions {
   /// Trapdoor posting-list index: memoize full-scan results so a
   /// repeated trapdoor becomes a posting-list fetch instead of an O(n)
   /// scan. Results and observation-log entries are byte-identical either
-  /// way (the planner guarantees it; tests assert it), so this is purely
-  /// a performance switch. The index answers only what Eve could
-  /// precompute from her own log — see README "Query planning &
-  /// indexing".
+  /// way (tests assert it), so this is purely a performance switch. The
+  /// index answers only what Eve could precompute from her own log — see
+  /// README "Query planning & indexing".
   bool enable_trapdoor_index = true;
   /// Distinct trapdoors memoized per relation (0 = unlimited). Bounds
   /// index memory and per-append maintenance on a long-running daemon;
@@ -55,14 +53,14 @@ struct ServerRuntimeOptions {
   /// not a correctness change).
   size_t max_indexed_trapdoors = 65536;
   /// Per-append index-maintenance budget, in trapdoor evaluations
-  /// (0 = unlimited). An AppendTuples maintains memoized entries until
+  /// (0 = unlimited). An append maintains memoized entries until
   /// the budget runs out and evicts the rest, so appends never stall
   /// the dispatch lock on index bookkeeping; bulk-append deployments
   /// should raise this (or the memo shrinks to budget/batch-size
   /// entries).
   size_t max_index_append_evals = 16 * 1024;
-  /// Batched scan kernel: route full scans (locked and snapshot paths
-  /// alike) through the precomputed-HMAC MatchContext over contiguous
+  /// Batched scan kernel: route full scans (selects and deletes alike)
+  /// through the precomputed-HMAC MatchContext over contiguous
   /// word arenas instead of the per-document scalar matcher. Results,
   /// ResultProofs, and observation-log entries are byte-identical either
   /// way (tests assert it) — purely a performance switch, kept as an
@@ -73,10 +71,10 @@ struct ServerRuntimeOptions {
   /// protocol::ResultProof to every select / fetch / delete response, so
   /// a verifying client can detect a server (or a path in between) that
   /// drops, substitutes, reorders, or replays rows. Proofs are a
-  /// function of stored state only — both planner access paths produce
-  /// byte-identical proofs, like results. Off restores the PR-4 wire
-  /// format exactly. See docs/SECURITY.md for what proofs do and do not
-  /// guarantee.
+  /// function of stored state only — both access paths (scan and index)
+  /// produce byte-identical proofs, like results. Off restores the
+  /// proof-free wire format exactly. See docs/SECURITY.md for what proofs
+  /// do and do not guarantee.
   bool enable_integrity = true;
   /// Metrics and per-query tracing (src/obs): per-op counters, stage
   /// latency histograms, dispatch-lock wait times. Hot-path cost is a
@@ -141,24 +139,27 @@ class UntrustedServer {
   /// Locking model — single-writer / multi-reader snapshots. Mutating
   /// requests (store / append / delete / drop / attest / flush, and any
   /// batch containing one) serialize on `dispatch_mutex_` for their full
-  /// duration, exactly as before; before releasing the lock they publish
-  /// an immutable per-relation snapshot (owned document bytes + frozen
-  /// trapdoor index + Merkle tree/epoch/attestation) via one atomic
-  /// shared_ptr swap. Read-shaped requests (select, all-select batches,
-  /// EXPLAIN, fetch, stats, leakage report, ping) pin the published
-  /// snapshot with a single acquire load and execute WITHOUT the
-  /// dispatch lock — concurrent reads proceed in parallel, each fanning
-  /// out internally across the worker pool. A reader re-enters a short
-  /// critical section only to append its observation-log entries
-  /// (`log_mutex_`) and stage its metrics deltas (`stats_mutex_`).
+  /// duration; before releasing the lock they publish an immutable
+  /// per-relation snapshot (owned document bytes + frozen trapdoor index
+  /// + Merkle tree/epoch/attestation) via one atomic shared_ptr swap.
+  /// Read-shaped requests (select, all-select batches, EXPLAIN, fetch,
+  /// stats, leakage report, ping) pin the published snapshot with a
+  /// single acquire load and execute WITHOUT the dispatch lock —
+  /// concurrent reads proceed in parallel, each fanning out internally
+  /// across the worker pool. A reader re-enters a short critical section
+  /// only to append its observation-log entries (`log_mutex_`) and stage
+  /// its metrics deltas (`stats_mutex_`). The read legs of a mixed batch
+  /// run the same read dispatch, on a snapshot published just before
+  /// the leg.
   ///
-  /// Invariants: results and ResultProofs are byte-identical on both
-  /// paths (snapshots freeze the proof source with the documents, so a
-  /// racing mutation can never splice a stale root under a proof); the
-  /// observation log gains exactly one atomic entry per executed query —
-  /// an entry reflects its query's pinned snapshot, and a reader racing
-  /// a writer may be transcribed after that writer's entry (the matched
-  /// record ids identify the snapshot it read).
+  /// Invariants: every trapdoor is evaluated on a published snapshot —
+  /// one read path — and snapshots freeze the proof source with the
+  /// documents, so a proof always describes the exact state that
+  /// answered (a racing mutation can never splice a stale root under
+  /// it); the observation log gains exactly one atomic entry per
+  /// executed query — an entry reflects its query's pinned snapshot, and
+  /// a reader racing a writer may be transcribed after that writer's
+  /// entry (the matched record ids identify the snapshot it read).
   Bytes HandleRequest(const Bytes& request);
 
   /// As above, with the caller's identity for the debug-only
@@ -186,63 +187,11 @@ class UntrustedServer {
                                               std::memory_order_acq_rel);
   }
 
-  // Typed handlers (also usable directly, bypassing the wire layer).
-  // Mutators take the dispatch lock and publish a fresh snapshot before
-  // returning; reads run against the published snapshot, lock-free.
-
-  Status StoreRelation(const core::EncryptedRelation& relation);
-  Status DropRelation(const std::string& name);
-
-  /// psi: returns the matching encrypted documents. Routed through the
-  /// snapshot select pipeline (a one-query SelectBatch): the planner
-  /// picks the trapdoor-index path when this exact trapdoor is memoized,
-  /// the sharded full scan otherwise; results and the observation entry
-  /// are byte-identical either way.
+  /// psi: returns the matching encrypted documents. The in-process twin
+  /// of a wire kSelect, through the same snapshot pipeline: index hit or
+  /// sharded scan, one observation-log entry, the same documents.
   Result<std::vector<swp::EncryptedDocument>> Select(
       const core::EncryptedQuery& query);
-
-  /// Batched psi against one pinned snapshot: index-path queries are
-  /// answered from frozen posting lists; the rest run as sharded scan
-  /// waves over the worker pool. results[i] corresponds to queries[i]
-  /// and is byte-identical (documents, order) to a sequential
-  /// Select(queries[i]) at the same state regardless of the access path
-  /// chosen; the observation log gets exactly one entry per query, in
-  /// query order, just as if the selects had arrived one by one.
-  std::vector<Result<std::vector<swp::EncryptedDocument>>> SelectBatch(
-      const std::vector<core::EncryptedQuery>& queries);
-
-  /// EXPLAIN: how Select(query) would execute right now — access path,
-  /// scan fan-out, posting sizes — without executing anything. Explain
-  /// is not a query observation: Eve receives the trapdoor bytes but
-  /// computes no matches, so the report reveals at most what the
-  /// corresponding Select would (and the plan itself is a function of
-  /// Eve's own state). Served on the wire as kExplain/kExplainResult.
-  Result<protocol::PlanReport> Explain(const core::EncryptedQuery& query);
-
-  /// Appends already-encrypted documents to a stored relation.
-  Status AppendTuples(const std::string& name,
-                      const std::vector<swp::EncryptedDocument>& documents);
-
-  /// Deletes every document matching the trapdoor; returns the count.
-  /// Deletions leak exactly like selects (the matched identities) and are
-  /// recorded in the observation log accordingly.
-  Result<size_t> DeleteWhere(const core::EncryptedQuery& query);
-
-  /// Stores the data owner's signature over (relation, epoch, root) —
-  /// the kAttestRoot handler. Eve holds no keys, so she can only accept
-  /// and echo the signature; she verifies nothing beyond "the claimed
-  /// (epoch, root) is my current state" (a stale attestation is the
-  /// client's bug, not hers to repair). Attested roots are mutations for
-  /// durability purposes: WAL-logged and persisted, so recovery restores
-  /// them alongside the ciphertext they bless.
-  Status AttestRoot(const std::string& name, uint64_t epoch,
-                    const crypto::MerkleTree::Hash& root,
-                    const Bytes& signature);
-
-  /// Returns every stored document of a relation — the "contract
-  /// cancelled" recall path. Reads the published snapshot.
-  Result<std::vector<swp::EncryptedDocument>> FetchRelation(
-      const std::string& name) const;
 
   /// Persists all stored ciphertext to a file (the server restarting
   /// must not lose Alex's data — it is the only copy). The write is
@@ -260,9 +209,10 @@ class UntrustedServer {
   /// under the dispatch lock or on an otherwise-quiescent server.
   Result<Bytes> SerializeState() const;
 
-  /// Restores from a SerializeState image. Parses fully before mutating,
-  /// so a corrupt image cannot leave the server half-loaded. Clears the
-  /// observation log (re-stores during a restore are not observations).
+  /// Restores from a SerializeState image. Parses and validates fully
+  /// (duplicate relation names included) before mutating, so a corrupt
+  /// image cannot leave the server half-loaded. Clears the observation
+  /// log (re-stores during a restore are not observations).
   Status RestoreState(const Bytes& data);
 
   // -------- durability hooks (installed by server::DurableStore) --------
@@ -353,10 +303,9 @@ class UntrustedServer {
     /// Trapdoor → posting-list memo for this relation. Volatile cache:
     /// dies with the relation (Drop), starts cold after RestoreState /
     /// recovery (deterministic rebuild as queries repeat), and is
-    /// maintained incrementally by AppendTuples / DeleteWhere under the
-    /// dispatch lock. Never consulted when the runtime option disables
-    /// the index. Snapshot readers see a frozen copy and consult it via
-    /// Peek only.
+    /// maintained incrementally by appends / deletes under the dispatch
+    /// lock. Never consulted when the runtime option disables the index.
+    /// Selects see a frozen copy and consult it via Peek only.
     planner::TrapdoorIndex index;
 
     // ---- result-integrity state (maintained only with enable_integrity;
@@ -387,10 +336,6 @@ class UntrustedServer {
     /// the "dbph-search-root-v1" domain; deposited by the extended
     /// kAttestRoot alongside root_signature, same staleness rule.
     Bytes search_signature;
-    /// rid.Pack() → leaf index, so the proof builder maps planner
-    /// matches (which carry record ids) to tree positions in O(1)
-    /// instead of scanning `records` per select.
-    std::unordered_map<uint64_t, uint64_t> position_of;
     /// Total word slots across all stored documents — the predicted PRF
     /// evaluation count a full scan reports (EXPLAIN match_evals).
     /// Maintained by store/append/delete alongside `records`.
@@ -410,33 +355,19 @@ class UntrustedServer {
     uint64_t doc_generation = 0;
   };
 
-  /// One select's full outcome on the locked path: the documents plus
-  /// their leaf positions (positions empty when integrity is off) and
-  /// the relation they came from (null when resolution failed).
+  /// One select's outcome: the documents plus their leaf positions
+  /// (empty when integrity is off); `rel` (borrowed from the pinned
+  /// snapshot, which the caller keeps alive) is the proof source.
   struct SelectOutcome {
     Result<std::vector<swp::EncryptedDocument>> docs;
     std::vector<uint64_t> positions;
-    const StoredRelation* stored = nullptr;
+    const RelationSnapshot* rel = nullptr;
     /// The queried trapdoor's search-tree tag (set when integrity is
     /// on), so the response builder can attach a CompletenessProof.
     crypto::MerkleTree::Hash tag{};
     bool has_tag = false;
 
     SelectOutcome() : docs(Status::OK()) {}
-  };
-
-  /// One select's outcome on the snapshot read path; `rel` (borrowed
-  /// from the pinned snapshot, which the caller keeps alive) is the
-  /// proof source.
-  struct SnapshotSelectOutcome {
-    Result<std::vector<swp::EncryptedDocument>> docs;
-    std::vector<uint64_t> positions;
-    const RelationSnapshot* rel = nullptr;
-    /// See SelectOutcome::tag.
-    crypto::MerkleTree::Hash tag{};
-    bool has_tag = false;
-
-    SnapshotSelectOutcome() : docs(Status::OK()) {}
   };
 
   /// One completed request's metric deltas, staged before they reach the
@@ -447,8 +378,8 @@ class UntrustedServer {
   /// cost. So the hot path appends one plain 56-byte entry to a small
   /// ring instead, and the ring folds into the registry in batches
   /// (cache-hot, amortized) and on every read path. The ring is guarded
-  /// by stats_mutex_ (locked and snapshot paths both stage here);
-  /// readers of the atomic instruments stay lock-free.
+  /// by stats_mutex_ (every request stages here); readers of the atomic
+  /// instruments stay lock-free.
   struct PendingRequestStat {
     enum : uint8_t {
       kIsError = 1 << 0,
@@ -475,29 +406,33 @@ class UntrustedServer {
     uint8_t flags = 0;
   };
 
-  /// A reader's private stage trace + staged metric deltas. The locked
-  /// path keeps these as members (trace_/cur_, valid under the dispatch
-  /// lock); each snapshot read carries its own on the stack.
-  struct ReadScratch {
+  /// One request's private stage trace + staged metric deltas, carried
+  /// on the stack: any number of reads run at once, and a locked
+  /// request's read legs accumulate into the same scratch.
+  struct RequestScratch {
     obs::QueryTrace trace;
     PendingRequestStat cur;
+    /// Set for a request that holds dispatch_mutex_ (a mutation or a
+    /// mixed batch): its select legs memoize directly instead of
+    /// try-locking the mutex their own thread already holds.
+    bool holds_dispatch_lock = false;
   };
 
-  /// The locked select pipeline: plans/executes against live storage,
-  /// logs observations, and reports positions for proof building. Only
-  /// reachable under the dispatch lock (select legs of mixed batches).
-  std::vector<SelectOutcome> SelectBatchInternal(
-      const std::vector<core::EncryptedQuery>& queries);
+  // Mutation bodies: the caller holds dispatch_mutex_, and HandleRequest
+  // publishes a fresh snapshot before releasing it.
 
-  /// DeleteWhere body; when `removed_out` is non-null it receives the
-  /// pre-delete (leaf position, serialized document) manifest the client
-  /// verifies against its own tree.
-  Result<size_t> DeleteWhereInternal(
+  /// Deletes every document matching the trapdoor; returns the count.
+  /// Deletions leak exactly like selects (the matched identities) and are
+  /// recorded in the observation log accordingly: the match set is the
+  /// snapshot scan a select of the same trapdoor runs, taken after
+  /// publishing every write applied so far. When `removed_out` is
+  /// non-null it receives the pre-delete (leaf position, serialized
+  /// document) manifest the client verifies against its own tree.
+  Result<size_t> DeleteWhereLocked(
       const core::EncryptedQuery& query,
-      std::vector<std::pair<uint64_t, Bytes>>* removed_out);
+      std::vector<std::pair<uint64_t, Bytes>>* removed_out,
+      RequestScratch* scratch);
 
-  // Locked bodies of the typed mutators (caller holds dispatch_mutex_);
-  // the public wrappers lock, delegate, and publish.
   /// `search_entries` (optional) is the owner-computed search-entry
   /// section riding on the store payload — the relation's full
   /// (tag → positions) map; null/absent leaves the search tree empty.
@@ -513,6 +448,13 @@ class UntrustedServer {
       const std::string& name,
       const std::vector<swp::EncryptedDocument>& documents,
       const std::vector<crypto::SearchTree::Entry>* search_delta = nullptr);
+  /// Stores the data owner's signature over (relation, epoch, root) —
+  /// the kAttestRoot handler. Eve holds no keys, so she can only accept
+  /// and echo the signature; she verifies nothing beyond "the claimed
+  /// (epoch, root) is my current state" (a stale attestation is the
+  /// client's bug, not hers to repair). Attested roots are mutations for
+  /// durability purposes: WAL-logged and persisted, so recovery restores
+  /// them alongside the ciphertext they bless.
   /// `search_root`/`search_signature` (optional, both or neither) extend
   /// the attestation to the search tree; an old-style attestation
   /// without them clears any previously deposited search signature.
@@ -528,71 +470,72 @@ class UntrustedServer {
   Result<std::vector<swp::EncryptedDocument>> FetchRelationLocked(
       const std::string& name) const;
 
-  /// The proof for a result set of `positions` against `stored`'s
-  /// current tree/epoch. Positions must be sorted (storage order — the
-  /// pipeline's contract already guarantees it).
-  protocol::ResultProof BuildProof(const StoredRelation& stored,
-                                   std::vector<uint64_t> positions) const;
+  /// Dispatch for requests that hold the dispatch lock: the mutations,
+  /// kFlush, and batches with at least one mutating leg. `scratch` is
+  /// never null.
+  protocol::Envelope Dispatch(const protocol::Envelope& request,
+                              RequestScratch* scratch);
+  /// A mixed batch, leg by leg in order: mutating legs go through
+  /// Dispatch; before each read-shaped leg every write applied so far is
+  /// published, and the leg runs through DispatchRead on that snapshot.
+  protocol::Envelope DispatchBatch(const protocol::Envelope& request,
+                                   RequestScratch* scratch);
 
-  /// Renders one locked-path select outcome as its wire envelope —
-  /// kSelectResult with the proof attached (integrity on), or a kError.
-  protocol::Envelope MakeSelectResponse(SelectOutcome* outcome);
-
-  protocol::Envelope Dispatch(const protocol::Envelope& request);
-  protocol::Envelope DispatchBatch(const protocol::Envelope& request);
-
-  // ---------------- snapshot read path (no dispatch lock) ----------------
+  // ------------------- snapshot read path (the only one) ------------------
 
   std::shared_ptr<const ServerSnapshot> PinSnapshot() const {
     std::lock_guard<std::mutex> lock(publish_mutex_);
     return published_;
   }
 
-  /// Serves one read-shaped request against the pinned snapshot; the
-  /// read-path twin of the locked HandleRequest tail (timing, metrics
-  /// staging, slow-query log) with per-request scratch instead of the
-  /// lock-guarded members.
+  /// Serves one read-shaped request against the pinned snapshot, without
+  /// the dispatch lock: the read-path twin of the locked HandleRequest
+  /// tail (timing, metrics staging, slow-query log).
   Bytes HandleReadRequest(const protocol::Envelope& envelope,
                           uint64_t parse_micros);
 
-  /// Dispatch for snapshot-served types: kSelect, all-select batches,
-  /// kExplain, kFetchRelation, kStats, kLeakageReport, kPing.
+  /// Builds every select, EXPLAIN, fetch, stats, leakage and ping
+  /// response, and all-select batches: top-level reads and the read legs
+  /// of a locked batch alike. `scratch` null = untimed.
   protocol::Envelope DispatchRead(const protocol::Envelope& request,
                                   const ServerSnapshot& snap,
-                                  ReadScratch* scratch);
+                                  RequestScratch* scratch);
 
-  /// EXPLAIN against a pinned snapshot: mirrors planner::PlanSelect with
-  /// the frozen index's stats-free Peek (EXPLAIN never counts toward
-  /// hit/miss stats on either path).
+  /// EXPLAIN against a pinned snapshot: the access path the select
+  /// pipeline would take, through the frozen index's stats-free Peek
+  /// (EXPLAIN never counts toward the hit/miss gauges).
   Result<protocol::PlanReport> ExplainFromSnapshot(
       const ServerSnapshot& snap, const core::EncryptedQuery& query);
 
-  /// The snapshot select pipeline: plans with the frozen index (Peek),
-  /// fetches postings or runs sharded scans over the frozen documents,
-  /// feeds the auditor, and appends one observation-log entry per query
-  /// (in query order, atomically under log_mutex_). Mirrors
-  /// SelectBatchInternal stage for stage; `scratch` null = untimed.
-  std::vector<SnapshotSelectOutcome> SnapshotSelectBatch(
+  /// The select pipeline: plans with the frozen index (Peek), fetches
+  /// postings or runs sharded scans over the frozen documents, feeds the
+  /// auditor, and appends one observation-log entry per query (in query
+  /// order, atomically under log_mutex_). `scratch` null = untimed.
+  std::vector<SelectOutcome> SnapshotSelectBatch(
       const ServerSnapshot& snap,
-      const std::vector<core::EncryptedQuery>& queries, ReadScratch* scratch);
+      const std::vector<core::EncryptedQuery>& queries,
+      RequestScratch* scratch);
 
-  /// Read-path twin of MakeSelectResponse: proof from the pinned
-  /// relation snapshot's frozen tree/epoch/attestation.
-  protocol::Envelope MakeSnapshotSelectResponse(SnapshotSelectOutcome* outcome,
-                                                ReadScratch* scratch);
+  /// Renders one select outcome as its wire envelope — kSelectResult
+  /// with proofs from the pinned relation snapshot's frozen
+  /// tree/epoch/attestation (integrity on), or a kError.
+  protocol::Envelope MakeSelectResponse(SelectOutcome* outcome,
+                                        RequestScratch* scratch);
 
-  /// After a snapshot scan missed the frozen index, best-effort memoize
-  /// the scan result into the live index: try-lock the dispatch mutex
-  /// and, if the live document state is still the generation the
-  /// snapshot was pinned at (doc_generation match — index/attestation
-  /// churn in between is harmless), memoize + republish. Skipped on
+  /// After a snapshot scan missed the frozen index, memoize the scan
+  /// result into the live index if the live document state is still the
+  /// generation the snapshot was pinned at (doc_generation match —
+  /// index/attestation churn in between is harmless), then republish.
+  /// A top-level read only try-locks the dispatch mutex and skips on
   /// contention or staleness — a pure performance loss, never a
-  /// correctness one.
+  /// correctness one; a read leg of a locked request already holds it
+  /// (`holds_dispatch_lock`).
   void TryMemoizeFromSnapshot(const std::string& relation,
                               const RelationSnapshot* pinned,
                               const Bytes& trapdoor_bytes,
                               const swp::Trapdoor& trapdoor,
-                              const std::vector<uint64_t>& postings);
+                              const std::vector<uint64_t>& postings,
+                              bool holds_dispatch_lock);
 
   // ---------------- snapshot publication (dispatch lock held) -----------
 
@@ -606,10 +549,6 @@ class UntrustedServer {
   void PublishDirtyLocked();
   std::shared_ptr<const RelationSnapshot> BuildRelationSnapshotLocked(
       const StoredRelation& stored) const;
-
-  /// The planner's borrowed view of one stored relation (valid under the
-  /// dispatch lock only). Null index when the runtime option is off.
-  planner::ExecutionContext ContextFor(StoredRelation* stored);
 
   /// Write-ahead point for a mutating envelope: hands it to the mutation
   /// hook (if any) before the typed handler applies it. kUnavailable on
@@ -679,21 +618,12 @@ class UntrustedServer {
   /// Caller holds stats_mutex_.
   void FlushPendingStatsLocked();
 
-  /// Recomputes the derived gauges (relation count, trapdoor-index
-  /// aggregates) from the live relation map and folds staged request
-  /// stats. Caller holds the dispatch lock (the in-dispatch kStats
-  /// handler); the lock-free twin below serves everything else.
-  void RefreshGaugesLocked();
-
-  /// As above, but derived from a pinned snapshot — the lock-free stats
-  /// path (kStats reads, CollectStats/scrape). Mutations republish
-  /// before acknowledging, so at any quiescent point the two agree.
+  /// Folds staged request stats and recomputes the derived gauges
+  /// (relation count, trapdoor-index aggregates, auditor) from a pinned
+  /// snapshot — kStats reads and CollectStats/scrape. Mutations
+  /// republish before acknowledging, so at any quiescent point the
+  /// gauges describe the live state.
   void RefreshGaugesFromSnapshot(const ServerSnapshot& snap);
-
-  /// Shared tail of both gauge refreshers: index totals + auditor.
-  void SetIndexGauges(const planner::TrapdoorIndex::Stats& totals,
-                      int64_t trapdoors, int64_t postings,
-                      int64_t at_capacity);
 
   /// Lazily started worker pool (no threads until the first scan);
   /// concurrent readers race here, so initialization is call_once.
@@ -736,9 +666,8 @@ class UntrustedServer {
   bool snapshot_stale_ = true;
   /// Source of doc_generation stamps (monotone across all relations).
   uint64_t doc_generation_counter_ = 0;
-  /// Frozen-index consultations by snapshot readers (Peek is stats-free
-  /// so the frozen copy stays immutable; the gauges add these to the
-  /// live index's own counts).
+  /// Frozen-index consultations by selects — the only hit/miss count
+  /// (Peek is stats-free so the frozen copy stays immutable).
   std::atomic<uint64_t> reader_index_hits_{0};
   std::atomic<uint64_t> reader_index_misses_{0};
   /// Debug-only: the one transport allowed to dispatch MUTATIONS, when
@@ -755,17 +684,6 @@ class UntrustedServer {
   /// looked up by the raw type byte (no map walk in the fold loop).
   /// Guarded by stats_mutex_ with the ring.
   std::array<obs::Counter*, 256> op_counters_{};
-  /// The CURRENT locked request's stage trace. Valid under the dispatch
-  /// lock (exactly one locked request is live at a time); the select
-  /// pipeline and proof builder accumulate into it, HandleRequest folds
-  /// it into the histograms when the request completes. Snapshot readers
-  /// never touch it — they carry a ReadScratch.
-  obs::QueryTrace trace_;
-  /// The CURRENT locked request's staged metric deltas (same contract
-  /// as trace_): the select pipeline and proof builder add their
-  /// per-path spans here, RecordRequestMetrics completes the entry and
-  /// appends it to pending_.
-  PendingRequestStat cur_;
   /// Completed-but-unfolded request entries; folded into the registry by
   /// FlushPendingStatsLocked (ring full, or any stats read). Guarded by
   /// stats_mutex_.

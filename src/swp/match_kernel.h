@@ -78,7 +78,7 @@ class MatchContext {
                    std::span<const WordRef> refs, uint8_t* match_out);
 
   /// PRF evaluations performed since construction (the per-query
-  /// `match_evals` the planner and obs stack account).
+  /// `match_evals` EXPLAIN and the obs stack account).
   uint64_t match_evals() const { return match_evals_; }
 
   const SwpParams& params() const { return params_; }

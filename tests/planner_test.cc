@@ -1,10 +1,11 @@
-// Planner-layer coverage: the trapdoor posting-list index must be purely
-// a performance decision. Whatever access path the planner picks, the
-// documents returned (bytes and order) and the observation-log entries
-// recorded must be identical to a sequential full scan — across selects,
-// batches with duplicate trapdoors, appends, deletes, and recovery. Also
-// covers EXPLAIN (kExplain / PlanReport) and the bounded observation
-// mode.
+// Access-path coverage: the trapdoor posting-list index must be purely
+// a performance decision. Whichever path a select takes, the documents
+// returned (bytes and order) and the observation-log entries recorded
+// must be identical to a full scan — across selects, batches with
+// duplicate trapdoors, appends, deletes, budgets, capacity and recovery.
+// The index cases run twin servers, index on and off, over identical
+// ciphertext. Also covers EXPLAIN (kExplain / PlanReport) and the
+// bounded observation mode.
 
 #include <gtest/gtest.h>
 
@@ -14,12 +15,8 @@
 
 #include "client/client.h"
 #include "crypto/random.h"
-#include "dbph/scheme.h"
-#include "server/planner/planner.h"
-#include "server/planner/trapdoor_index.h"
 #include "server/untrusted_server.h"
 #include "sql/executor.h"
-#include "storage/heapfile.h"
 
 namespace dbph {
 namespace {
@@ -28,11 +25,7 @@ using rel::Relation;
 using rel::Schema;
 using rel::Value;
 using rel::ValueType;
-using server::planner::AccessPath;
-using server::planner::ExecutionContext;
-using server::planner::PlanExecutor;
-using server::planner::SelectTask;
-using server::planner::TrapdoorIndex;
+using protocol::PlanAccessPath;
 
 Schema TableSchema() {
   auto s = Schema::Create({
@@ -51,25 +44,6 @@ Relation BuildTable(size_t n) {
                     .ok());
   }
   return table;
-}
-
-Bytes SerializeDoc(const swp::EncryptedDocument& doc) {
-  Bytes out;
-  doc.AppendTo(&out);
-  return out;
-}
-
-/// Byte-level equality of two match lists: same rids, same documents,
-/// same order.
-void ExpectSameMatches(const std::vector<server::runtime::ShardMatch>& a,
-                       const std::vector<server::runtime::ShardMatch>& b,
-                       const std::string& context) {
-  ASSERT_EQ(a.size(), b.size()) << context;
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].rid.Pack(), b[i].rid.Pack()) << context << " match " << i;
-    EXPECT_EQ(SerializeDoc(a[i].doc), SerializeDoc(b[i].doc))
-        << context << " match " << i;
-  }
 }
 
 /// Full equality of two observation logs, entry by entry.
@@ -96,266 +70,15 @@ void ExpectSameLogs(const server::ObservationLog& a,
   }
 }
 
-// ---------------- planner + index against raw storage ----------------
-
-/// A tiny relation materialized into a heap file, driven through the
-/// PlanExecutor directly (no server), with an index-enabled and an
-/// index-free context over the same storage.
-class PlannerStorageTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    crypto::HmacDrbg rng("planner-storage", 7);
-    auto ph = core::DatabasePh::Create(TableSchema(), ToBytes("planner key"));
-    ASSERT_TRUE(ph.ok());
-    ph_ = std::make_unique<core::DatabasePh>(std::move(*ph));
-    auto encrypted = ph_->EncryptRelation(BuildTable(40), &rng);
-    ASSERT_TRUE(encrypted.ok());
-    check_length_ = encrypted->check_length;
-    for (const auto& doc : encrypted->documents) {
-      records_.push_back(heap_.Insert(SerializeDoc(doc)));
-    }
-  }
-
-  ExecutionContext Context(bool with_index) {
-    ExecutionContext ctx;
-    ctx.heap = &heap_;
-    ctx.records = &records_;
-    ctx.check_length = check_length_;
-    ctx.num_shards = 3;
-    ctx.index = with_index ? &index_ : nullptr;
-    return ctx;
-  }
-
-  core::EncryptedQuery Query(const std::string& attribute,
-                             const Value& value) {
-    auto q = ph_->EncryptQuery("T", attribute, value);
-    EXPECT_TRUE(q.ok());
-    return *q;
-  }
-
-  server::planner::PlannedOutcome RunOne(const core::EncryptedQuery& query,
-                                         bool with_index) {
-    SelectTask task;
-    task.ctx = Context(with_index);
-    task.query = &query;
-    PlanExecutor executor(nullptr);  // inline scans
-    auto outcomes = executor.Execute({task});
-    EXPECT_TRUE(outcomes[0].status.ok()) << outcomes[0].status;
-    return std::move(outcomes[0]);
-  }
-
-  std::unique_ptr<core::DatabasePh> ph_;
-  storage::HeapFile heap_;
-  std::vector<storage::RecordId> records_;
-  uint32_t check_length_ = 4;
-  TrapdoorIndex index_;
-};
-
-TEST_F(PlannerStorageTest, FirstScanMemoizesSecondHitsIndexIdentically) {
-  core::EncryptedQuery query = Query("grp", Value::Int(2));
-
-  auto first = RunOne(query, true);
-  EXPECT_EQ(first.plan.path, AccessPath::kFullScan);
-  EXPECT_TRUE(first.plan.will_memoize);
-  EXPECT_EQ(index_.num_trapdoors(), 1u);
-  EXPECT_FALSE(first.matches.empty());
-
-  auto second = RunOne(query, true);
-  EXPECT_EQ(second.plan.path, AccessPath::kIndexLookup);
-  EXPECT_EQ(second.plan.posting_size, first.matches.size());
-  ExpectSameMatches(first.matches, second.matches, "scan vs index");
-
-  // And both equal an index-free scan of the same storage.
-  auto scan = RunOne(query, false);
-  EXPECT_EQ(scan.plan.path, AccessPath::kFullScan);
-  ExpectSameMatches(scan.matches, second.matches, "no-index vs index");
-
-  // Plan-only inspection (EXPLAIN) sees the same plan but leaves the
-  // hit/miss stats untouched — they measure queries served, not plans
-  // printed.
-  uint64_t hits_before = index_.stats().hits;
-  Bytes trapdoor_bytes;
-  query.trapdoor.AppendTo(&trapdoor_bytes);
-  auto explained = server::planner::PlanSelect(
-      Context(true), trapdoor_bytes, nullptr, /*record_stats=*/false);
-  EXPECT_EQ(explained.path, AccessPath::kIndexLookup);
-  EXPECT_EQ(index_.stats().hits, hits_before);
-}
-
-TEST_F(PlannerStorageTest, EmptyResultIsMemoizedAsARealAnswer) {
-  core::EncryptedQuery query = Query("name", Value::Str("nobody"));
-  auto first = RunOne(query, true);
-  EXPECT_TRUE(first.matches.empty());
-  auto second = RunOne(query, true);
-  EXPECT_EQ(second.plan.path, AccessPath::kIndexLookup);
-  EXPECT_TRUE(second.matches.empty());
-  EXPECT_EQ(index_.stats().hits, 1u);
-}
-
-TEST_F(PlannerStorageTest, DuplicateTrapdoorsInOneWaveMemoizeOnce) {
-  core::EncryptedQuery query = Query("grp", Value::Int(1));
-  SelectTask a, b;
-  a.ctx = b.ctx = Context(true);
-  a.query = b.query = &query;
-  PlanExecutor executor(nullptr);
-  auto outcomes = executor.Execute({a, b});
-  ASSERT_TRUE(outcomes[0].status.ok());
-  ASSERT_TRUE(outcomes[1].status.ok());
-  // Both planned before either scanned: both full scans, identical
-  // results, exactly one memo entry afterwards.
-  EXPECT_EQ(outcomes[0].plan.path, AccessPath::kFullScan);
-  EXPECT_EQ(outcomes[1].plan.path, AccessPath::kFullScan);
-  ExpectSameMatches(outcomes[0].matches, outcomes[1].matches, "dup wave");
-  EXPECT_EQ(index_.num_trapdoors(), 1u);
-
-  auto repeat = RunOne(query, true);
-  EXPECT_EQ(repeat.plan.path, AccessPath::kIndexLookup);
-  ExpectSameMatches(outcomes[0].matches, repeat.matches, "dup repeat");
-}
-
-TEST_F(PlannerStorageTest, OnAppendExtendsPostingListsExactly) {
-  core::EncryptedQuery query = Query("grp", Value::Int(3));
-  auto before = RunOne(query, true);  // memoize
-
-  // Append 10 more documents (two of each group) the way the server
-  // does: heap insert + records push + OnAppend with the new pairs.
-  crypto::HmacDrbg rng("planner-append", 9);
-  auto extra = ph_->EncryptRelation(BuildTable(10), &rng);
-  ASSERT_TRUE(extra.ok());
-  std::vector<std::pair<uint64_t, const swp::EncryptedDocument*>> added;
-  for (const auto& doc : extra->documents) {
-    storage::RecordId rid = heap_.Insert(SerializeDoc(doc));
-    records_.push_back(rid);
-    added.emplace_back(rid.Pack(), &doc);
-  }
-  index_.OnAppend(check_length_, added);
-
-  auto indexed = RunOne(query, true);
-  EXPECT_EQ(indexed.plan.path, AccessPath::kIndexLookup);
-  EXPECT_GT(indexed.matches.size(), before.matches.size());
-  auto scanned = RunOne(query, false);
-  ExpectSameMatches(scanned.matches, indexed.matches, "post-append");
-}
-
-TEST_F(PlannerStorageTest, OnDeleteDropsRemovedRecordsExactly) {
-  core::EncryptedQuery query = Query("grp", Value::Int(4));
-  auto before = RunOne(query, true);  // memoize
-  ASSERT_GE(before.matches.size(), 2u);
-
-  // Delete every second match, server-style.
-  std::vector<uint64_t> removed;
-  std::vector<storage::RecordId> kept;
-  for (size_t i = 0; i < records_.size(); ++i) kept.push_back(records_[i]);
-  for (size_t i = 0; i < before.matches.size(); i += 2) {
-    storage::RecordId rid = before.matches[i].rid;
-    removed.push_back(rid.Pack());
-    ASSERT_TRUE(heap_.Delete(rid).ok());
-    kept.erase(std::find(kept.begin(), kept.end(), rid));
-  }
-  records_ = std::move(kept);
-  index_.OnDelete(removed);
-
-  auto indexed = RunOne(query, true);
-  EXPECT_EQ(indexed.plan.path, AccessPath::kIndexLookup);
-  auto scanned = RunOne(query, false);
-  ExpectSameMatches(scanned.matches, indexed.matches, "post-delete");
-}
-
-TEST_F(PlannerStorageTest, OverBudgetAppendInvalidatesInsteadOfStalling) {
-  index_.set_max_append_evals(4);
-  core::EncryptedQuery query = Query("grp", Value::Int(2));
-  (void)RunOne(query, true);  // memoize (1 trapdoor)
-  ASSERT_EQ(index_.num_trapdoors(), 1u);
-
-  // 1 memoized trapdoor x 10 new documents = 10 evaluations > budget 4:
-  // the memo is dropped rather than maintained under the lock.
-  crypto::HmacDrbg rng("planner-budget", 3);
-  auto extra = ph_->EncryptRelation(BuildTable(10), &rng);
-  ASSERT_TRUE(extra.ok());
-  std::vector<std::pair<uint64_t, const swp::EncryptedDocument*>> added;
-  for (const auto& doc : extra->documents) {
-    storage::RecordId rid = heap_.Insert(SerializeDoc(doc));
-    records_.push_back(rid);
-    added.emplace_back(rid.Pack(), &doc);
-  }
-  index_.OnAppend(check_length_, added);
-  EXPECT_EQ(index_.num_trapdoors(), 0u);
-  EXPECT_EQ(index_.stats().invalidations, 1u);
-
-  // Cold again, still correct: the next select rescans and re-memoizes.
-  auto rebuilt = RunOne(query, true);
-  EXPECT_EQ(rebuilt.plan.path, AccessPath::kFullScan);
-  ExpectSameMatches(RunOne(query, false).matches,
-                    RunOne(query, true).matches, "post-invalidation");
-}
-
-TEST_F(PlannerStorageTest, AppendBudgetMaintainsWhatItCanEvictsTheRest) {
-  // Two memoized trapdoors, budget 12, append 10 documents: the first
-  // entry is maintained (10 <= 12), the second would exceed the budget
-  // and is evicted instead of served stale.
-  core::EncryptedQuery q0 = Query("grp", Value::Int(0));
-  core::EncryptedQuery q1 = Query("grp", Value::Int(1));
-  (void)RunOne(q0, true);
-  (void)RunOne(q1, true);
-  ASSERT_EQ(index_.num_trapdoors(), 2u);
-  index_.set_max_append_evals(12);
-
-  crypto::HmacDrbg rng("planner-partial", 4);
-  auto extra = ph_->EncryptRelation(BuildTable(10), &rng);
-  ASSERT_TRUE(extra.ok());
-  std::vector<std::pair<uint64_t, const swp::EncryptedDocument*>> added;
-  for (const auto& doc : extra->documents) {
-    storage::RecordId rid = heap_.Insert(SerializeDoc(doc));
-    records_.push_back(rid);
-    added.emplace_back(rid.Pack(), &doc);
-  }
-  index_.OnAppend(check_length_, added);
-  EXPECT_EQ(index_.num_trapdoors(), 1u);
-  EXPECT_EQ(index_.stats().invalidations, 1u);
-
-  // Whichever entry survived serves exactly; the evicted one rescans
-  // exactly. Both must equal the index-free scan post-append.
-  for (const core::EncryptedQuery* q : {&q0, &q1}) {
-    auto with = RunOne(*q, true);
-    auto without = RunOne(*q, false);
-    ExpectSameMatches(without.matches, with.matches, "partial maintenance");
-  }
-}
-
-TEST_F(PlannerStorageTest, CapacityBoundsMemoizationWithoutBreakingResults) {
-  index_.set_max_trapdoors(2);
-  core::EncryptedQuery q0 = Query("grp", Value::Int(0));
-  core::EncryptedQuery q1 = Query("grp", Value::Int(1));
-  core::EncryptedQuery q2 = Query("grp", Value::Int(2));
-  (void)RunOne(q0, true);
-  (void)RunOne(q1, true);
-  EXPECT_TRUE(index_.AtCapacity());
-
-  // The third trapdoor is not memoized: it plans as a non-memoizing
-  // scan, repeats keep scanning, and results still match the
-  // index-free scan exactly.
-  auto third = RunOne(q2, true);
-  EXPECT_EQ(third.plan.path, AccessPath::kFullScan);
-  EXPECT_FALSE(third.plan.will_memoize);
-  EXPECT_EQ(index_.num_trapdoors(), 2u);
-  auto repeat = RunOne(q2, true);
-  EXPECT_EQ(repeat.plan.path, AccessPath::kFullScan);
-  ExpectSameMatches(RunOne(q2, false).matches, repeat.matches, "at capacity");
-
-  // Entries memoized before the cap hit keep serving.
-  auto cached = RunOne(q0, true);
-  EXPECT_EQ(cached.plan.path, AccessPath::kIndexLookup);
-}
-
-// ---------------- whole-server differential: index on vs off -------------
-
 /// Two deployments over identical DRBG streams hold byte-identical
 /// ciphertext and receive byte-identical requests; one runs with the
 /// trapdoor index, one without. Every transport response and the whole
 /// observation log must match byte for byte.
 struct Deployment {
   explicit Deployment(bool enable_index)
-      : server(MakeOptions(enable_index)),
+      : Deployment(MakeOptions(enable_index)) {}
+  explicit Deployment(server::ServerRuntimeOptions options)
+      : server(options),
         rng("planner-differential", 5),
         client(ToBytes("planner master"),
                [this](const Bytes& request) {
@@ -377,6 +100,241 @@ struct Deployment {
   std::vector<Bytes> responses;
   client::Client client;
 };
+
+// ---------------- the trapdoor index on twin servers ----------------
+
+/// A 40-row relation (grp = i % 5, so 8 rows per group) on twin
+/// deployments, index on and off. Budgets come from
+/// ServerRuntimeOptions; the access path is read from EXPLAIN and the
+/// hit counts from CollectStats, both on the index-on twin.
+class IndexTwinTest : public ::testing::Test {
+ protected:
+  void Start(server::ServerRuntimeOptions options = {}) {
+    options.num_threads = 2;
+    options.num_shards = 3;
+    options.enable_trapdoor_index = true;
+    on_ = std::make_unique<Deployment>(options);
+    options.enable_trapdoor_index = false;
+    off_ = std::make_unique<Deployment>(options);
+    ASSERT_TRUE(on_->client.Outsource(BuildTable(40)).ok());
+    ASSERT_TRUE(off_->client.Outsource(BuildTable(40)).ok());
+  }
+
+  /// Runs one select on both twins, expects byte-identical responses,
+  /// and returns the result row count.
+  size_t SelectBoth(const std::string& attribute, const Value& value) {
+    auto on = on_->client.Select("T", attribute, value);
+    auto off = off_->client.Select("T", attribute, value);
+    EXPECT_TRUE(on.ok()) << on.status();
+    EXPECT_TRUE(off.ok()) << off.status();
+    EXPECT_EQ(on_->responses.back(), off_->responses.back())
+        << attribute << " = " << value;
+    return on.ok() ? on->size() : 0;
+  }
+
+  /// Appends BuildTable(10) (two rows per group) on both twins.
+  void InsertTenBoth() {
+    Relation extra = BuildTable(10);
+    ASSERT_TRUE(on_->client.Insert("T", extra.tuples()).ok());
+    ASSERT_TRUE(off_->client.Insert("T", extra.tuples()).ok());
+  }
+
+  protocol::PlanReport Explain(const std::string& attribute,
+                               const Value& value) {
+    auto plan = on_->client.Explain("T", attribute, value);
+    EXPECT_TRUE(plan.ok()) << plan.status();
+    return plan.ok() ? *plan : protocol::PlanReport{};
+  }
+
+  int64_t Gauge(const std::string& name) {
+    obs::RegistrySnapshot stats = on_->server.CollectStats();
+    auto it = stats.gauges.find(name);
+    EXPECT_NE(it, stats.gauges.end()) << name;
+    return it == stats.gauges.end() ? -1 : it->second;
+  }
+
+  void ExpectSameTranscripts() {
+    ExpectSameLogs(on_->server.observations(), off_->server.observations(),
+                   "index on vs off");
+  }
+
+  std::unique_ptr<Deployment> on_;
+  std::unique_ptr<Deployment> off_;
+};
+
+TEST_F(IndexTwinTest, ScanMemoizesAndARepeatHits) {
+  Start();
+  protocol::PlanReport cold = Explain("grp", Value::Int(2));
+  EXPECT_EQ(cold.access_path, PlanAccessPath::kFullScan);
+  EXPECT_TRUE(cold.will_memoize);
+
+  EXPECT_EQ(SelectBoth("grp", Value::Int(2)), 8u);
+  protocol::PlanReport warm = Explain("grp", Value::Int(2));
+  EXPECT_EQ(warm.access_path, PlanAccessPath::kIndexLookup);
+  EXPECT_EQ(warm.posting_size, 8u);
+  EXPECT_EQ(warm.indexed_trapdoors, 1u);
+  EXPECT_EQ(Gauge("dbph_index_hits"), 0);
+  EXPECT_EQ(Gauge("dbph_index_misses"), 1);
+
+  EXPECT_EQ(SelectBoth("grp", Value::Int(2)), 8u);
+  EXPECT_EQ(Gauge("dbph_index_hits"), 1);
+
+  // EXPLAIN is plan-only: it sees the index path but leaves the hit and
+  // miss gauges untouched — they count queries served, not plans printed.
+  EXPECT_EQ(Explain("grp", Value::Int(2)).access_path,
+            PlanAccessPath::kIndexLookup);
+  EXPECT_EQ(Explain("grp", Value::Int(3)).access_path,
+            PlanAccessPath::kFullScan);
+  EXPECT_EQ(Gauge("dbph_index_hits"), 1);
+  EXPECT_EQ(Gauge("dbph_index_misses"), 1);
+  ExpectSameTranscripts();
+}
+
+TEST_F(IndexTwinTest, EmptyResultIsMemoizedAsARealAnswer) {
+  Start();
+  EXPECT_EQ(SelectBoth("name", Value::Str("nobody")), 0u);
+  protocol::PlanReport plan = Explain("name", Value::Str("nobody"));
+  EXPECT_EQ(plan.access_path, PlanAccessPath::kIndexLookup);
+  EXPECT_EQ(plan.posting_size, 0u);
+  EXPECT_EQ(SelectBoth("name", Value::Str("nobody")), 0u);
+  EXPECT_EQ(Gauge("dbph_index_hits"), 1);
+  ExpectSameTranscripts();
+}
+
+TEST_F(IndexTwinTest, DuplicateTrapdoorsInOneBatchMemoizeOnce) {
+  Start();
+  const std::vector<std::pair<std::string, Value>> twice = {
+      {"grp", Value::Int(1)}, {"grp", Value::Int(1)}};
+  auto on = on_->client.SelectBatch("T", twice);
+  auto off = off_->client.SelectBatch("T", twice);
+  ASSERT_TRUE(on.ok()) << on.status();
+  ASSERT_TRUE(off.ok()) << off.status();
+  EXPECT_EQ(on_->responses.back(), off_->responses.back());
+  ASSERT_EQ(on->size(), 2u);
+  EXPECT_TRUE((*on)[0].SameTuples((*on)[1]));
+  // Both legs planned before either scanned: two misses, two scans,
+  // exactly one memo entry afterwards.
+  EXPECT_EQ(Gauge("dbph_index_misses"), 2);
+  EXPECT_EQ(Gauge("dbph_index_memoized"), 1);
+  protocol::PlanReport plan = Explain("grp", Value::Int(1));
+  EXPECT_EQ(plan.access_path, PlanAccessPath::kIndexLookup);
+  EXPECT_EQ(plan.indexed_trapdoors, 1u);
+
+  EXPECT_EQ(SelectBoth("grp", Value::Int(1)), 8u);
+  EXPECT_EQ(Gauge("dbph_index_hits"), 1);
+  ExpectSameTranscripts();
+}
+
+TEST_F(IndexTwinTest, AppendExtendsPostingsExactly) {
+  Start();
+  EXPECT_EQ(SelectBoth("grp", Value::Int(3)), 8u);  // memoize
+  InsertTenBoth();
+  if (HasFatalFailure()) return;
+  // One memoized trapdoor evaluated against ten new documents.
+  EXPECT_EQ(Gauge("dbph_index_append_evals"), 10);
+  protocol::PlanReport plan = Explain("grp", Value::Int(3));
+  EXPECT_EQ(plan.access_path, PlanAccessPath::kIndexLookup);
+  EXPECT_EQ(plan.posting_size, 10u);
+  EXPECT_EQ(SelectBoth("grp", Value::Int(3)), 10u);
+  ExpectSameTranscripts();
+}
+
+TEST_F(IndexTwinTest, DeleteDropsPostingsExactly) {
+  Start();
+  EXPECT_EQ(SelectBoth("grp", Value::Int(4)), 8u);  // memoize
+  for (const char* name : {"n4", "n14"}) {
+    auto on = on_->client.DeleteWhere("T", "name", Value::Str(name));
+    auto off = off_->client.DeleteWhere("T", "name", Value::Str(name));
+    ASSERT_TRUE(on.ok()) << on.status();
+    ASSERT_TRUE(off.ok()) << off.status();
+    EXPECT_EQ(*on, 1u);
+    EXPECT_EQ(on_->responses.back(), off_->responses.back());
+  }
+  protocol::PlanReport plan = Explain("grp", Value::Int(4));
+  EXPECT_EQ(plan.access_path, PlanAccessPath::kIndexLookup);
+  EXPECT_EQ(plan.posting_size, 6u);
+  EXPECT_EQ(SelectBoth("grp", Value::Int(4)), 6u);
+  ExpectSameTranscripts();
+}
+
+TEST_F(IndexTwinTest, OverBudgetAppendEvictsInsteadOfStalling) {
+  server::ServerRuntimeOptions options;
+  options.max_index_append_evals = 4;
+  Start(options);
+  EXPECT_EQ(SelectBoth("grp", Value::Int(2)), 8u);  // memoize
+  ASSERT_EQ(Explain("grp", Value::Int(2)).indexed_trapdoors, 1u);
+
+  // 1 memoized trapdoor x 10 new documents = 10 evaluations > budget 4:
+  // the entry is dropped rather than maintained under the lock.
+  InsertTenBoth();
+  if (HasFatalFailure()) return;
+  protocol::PlanReport cold = Explain("grp", Value::Int(2));
+  EXPECT_EQ(cold.access_path, PlanAccessPath::kFullScan);
+  EXPECT_TRUE(cold.will_memoize);
+  EXPECT_EQ(cold.indexed_trapdoors, 0u);
+  EXPECT_EQ(Gauge("dbph_index_invalidations"), 1);
+
+  // Cold again, still correct: the next select rescans and re-memoizes.
+  EXPECT_EQ(SelectBoth("grp", Value::Int(2)), 10u);
+  EXPECT_EQ(Explain("grp", Value::Int(2)).access_path,
+            PlanAccessPath::kIndexLookup);
+  EXPECT_EQ(SelectBoth("grp", Value::Int(2)), 10u);
+  ExpectSameTranscripts();
+}
+
+TEST_F(IndexTwinTest, AppendBudgetMaintainsWhatItCanEvictsTheRest) {
+  // Two memoized trapdoors, budget 12, append 10 documents: the first
+  // entry is maintained (10 <= 12), the second would exceed the budget
+  // and is evicted instead of served stale.
+  server::ServerRuntimeOptions options;
+  options.max_index_append_evals = 12;
+  Start(options);
+  EXPECT_EQ(SelectBoth("grp", Value::Int(0)), 8u);
+  EXPECT_EQ(SelectBoth("grp", Value::Int(1)), 8u);
+  ASSERT_EQ(Explain("grp", Value::Int(0)).indexed_trapdoors, 2u);
+
+  InsertTenBoth();
+  if (HasFatalFailure()) return;
+  EXPECT_EQ(Explain("grp", Value::Int(0)).indexed_trapdoors, 1u);
+  EXPECT_EQ(Gauge("dbph_index_invalidations"), 1);
+  EXPECT_EQ(Gauge("dbph_index_append_evals"), 10);
+
+  // Whichever entry survived serves exactly; the evicted one rescans
+  // exactly. Both equal the index-free twin's answers.
+  EXPECT_EQ(SelectBoth("grp", Value::Int(0)), 10u);
+  EXPECT_EQ(SelectBoth("grp", Value::Int(1)), 10u);
+  ExpectSameTranscripts();
+}
+
+TEST_F(IndexTwinTest, CapacityBoundsMemoizationWithoutBreakingResults) {
+  server::ServerRuntimeOptions options;
+  options.max_indexed_trapdoors = 2;
+  Start(options);
+  EXPECT_EQ(SelectBoth("grp", Value::Int(0)), 8u);
+  EXPECT_EQ(SelectBoth("grp", Value::Int(1)), 8u);
+  EXPECT_EQ(Gauge("dbph_index_relations_at_capacity"), 1);
+
+  // The third trapdoor is not memoized: it plans as a non-memoizing
+  // scan, repeats keep scanning, and results still match the
+  // index-free twin exactly.
+  protocol::PlanReport third = Explain("grp", Value::Int(2));
+  EXPECT_EQ(third.access_path, PlanAccessPath::kFullScan);
+  EXPECT_FALSE(third.will_memoize);
+  EXPECT_EQ(SelectBoth("grp", Value::Int(2)), 8u);
+  EXPECT_EQ(SelectBoth("grp", Value::Int(2)), 8u);
+  protocol::PlanReport repeat = Explain("grp", Value::Int(2));
+  EXPECT_EQ(repeat.access_path, PlanAccessPath::kFullScan);
+  EXPECT_EQ(repeat.indexed_trapdoors, 2u);
+
+  // Entries memoized before the cap hit keep serving.
+  EXPECT_EQ(Explain("grp", Value::Int(0)).access_path,
+            PlanAccessPath::kIndexLookup);
+  EXPECT_EQ(SelectBoth("grp", Value::Int(0)), 8u);
+  EXPECT_EQ(Gauge("dbph_index_hits"), 1);
+  ExpectSameTranscripts();
+}
+
+// ---------------- whole-server differential: index on vs off -------------
 
 TEST(PlannerDifferentialTest, IndexOnAndOffAreByteIdenticalEverywhere) {
   Deployment on(true);
@@ -431,12 +389,12 @@ TEST(PlannerDifferentialTest, IndexOnAndOffAreByteIdenticalEverywhere) {
   // path on the enabled server and the scan path on the disabled one.
   auto plan_on = on.client.Explain("T", "grp", Value::Int(2));
   ASSERT_TRUE(plan_on.ok());
-  EXPECT_EQ(plan_on->access_path, protocol::PlanAccessPath::kIndexLookup);
+  EXPECT_EQ(plan_on->access_path, PlanAccessPath::kIndexLookup);
   EXPECT_TRUE(plan_on->index_enabled);
   EXPECT_GT(plan_on->indexed_trapdoors, 0u);
   auto plan_off = off.client.Explain("T", "grp", Value::Int(2));
   ASSERT_TRUE(plan_off.ok());
-  EXPECT_EQ(plan_off->access_path, protocol::PlanAccessPath::kFullScan);
+  EXPECT_EQ(plan_off->access_path, PlanAccessPath::kFullScan);
   EXPECT_FALSE(plan_off->index_enabled);
   EXPECT_FALSE(plan_off->will_memoize);
 }
@@ -448,7 +406,7 @@ TEST(PlannerDifferentialTest, RestoreStateStartsColdButStaysIdentical) {
   ASSERT_TRUE(on.client.Select("T", "grp", Value::Int(1)).ok());
   auto warm = on.client.Explain("T", "grp", Value::Int(1));
   ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(warm->access_path, protocol::PlanAccessPath::kIndexLookup);
+  EXPECT_EQ(warm->access_path, PlanAccessPath::kIndexLookup);
 
   // Save/restore: recovery deterministically rebuilds — the index
   // restarts cold and the first repeat is a (memoizing) scan again.
@@ -457,7 +415,7 @@ TEST(PlannerDifferentialTest, RestoreStateStartsColdButStaysIdentical) {
   ASSERT_TRUE(on.server.RestoreState(*image).ok());
   auto cold = on.client.Explain("T", "grp", Value::Int(1));
   ASSERT_TRUE(cold.ok());
-  EXPECT_EQ(cold->access_path, protocol::PlanAccessPath::kFullScan);
+  EXPECT_EQ(cold->access_path, PlanAccessPath::kFullScan);
   EXPECT_TRUE(cold->will_memoize);
   EXPECT_EQ(cold->indexed_trapdoors, 0u);
 
@@ -465,7 +423,7 @@ TEST(PlannerDifferentialTest, RestoreStateStartsColdButStaysIdentical) {
   ASSERT_TRUE(result.ok());
   auto rewarmed = on.client.Explain("T", "grp", Value::Int(1));
   ASSERT_TRUE(rewarmed.ok());
-  EXPECT_EQ(rewarmed->access_path, protocol::PlanAccessPath::kIndexLookup);
+  EXPECT_EQ(rewarmed->access_path, PlanAccessPath::kIndexLookup);
   EXPECT_EQ(rewarmed->posting_size, warm->posting_size);
 }
 
@@ -504,10 +462,42 @@ TEST(ExplainTest, UnknownRelationAndSqlFrontEnd) {
   EXPECT_EQ(server.observations().queries().size(), 1u);
 }
 
+TEST(ExplainTest, ShardCountIsTheScanFanOut) {
+  // A scan never splits into more ranges than there are documents, and
+  // EXPLAIN reports the fan-out the scan actually uses.
+  server::ServerRuntimeOptions options;
+  options.num_shards = 16;
+  server::UntrustedServer server(options);
+  crypto::HmacDrbg rng("explain-shards", 4);
+  client::Client client(
+      ToBytes("explain master"),
+      [&server](const Bytes& request) { return server.HandleRequest(request); },
+      &rng);
+  Relation tiny("Tiny", TableSchema());
+  ASSERT_TRUE(tiny.Insert({Value::Str("a"), Value::Int(1)}).ok());
+  ASSERT_TRUE(tiny.Insert({Value::Str("b"), Value::Int(2)}).ok());
+  ASSERT_TRUE(client.Outsource(tiny).ok());
+  ASSERT_TRUE(client.Outsource(Relation("Empty", TableSchema())).ok());
+  ASSERT_TRUE(client.Outsource(BuildTable(40)).ok());
+
+  auto two = client.Explain("Tiny", "grp", Value::Int(1));
+  ASSERT_TRUE(two.ok()) << two.status();
+  EXPECT_EQ(two->num_shards, 2u);
+  EXPECT_NE(two->ToString().find("2 documents across 2 shard(s)"),
+            std::string::npos)
+      << two->ToString();
+  auto none = client.Explain("Empty", "grp", Value::Int(1));
+  ASSERT_TRUE(none.ok()) << none.status();
+  EXPECT_EQ(none->num_shards, 1u);
+  auto forty = client.Explain("T", "grp", Value::Int(1));
+  ASSERT_TRUE(forty.ok()) << forty.status();
+  EXPECT_EQ(forty->num_shards, 16u);
+}
+
 TEST(ExplainTest, PlanReportRoundTripsOnTheWire) {
   protocol::PlanReport report;
   report.relation = "R";
-  report.access_path = protocol::PlanAccessPath::kIndexLookup;
+  report.access_path = PlanAccessPath::kIndexLookup;
   report.num_records = 1234;
   report.posting_size = 56;
   report.num_shards = 8;
@@ -522,7 +512,7 @@ TEST(ExplainTest, PlanReportRoundTripsOnTheWire) {
   ASSERT_TRUE(parsed.ok());
   EXPECT_TRUE(reader.AtEnd());
   EXPECT_EQ(parsed->relation, "R");
-  EXPECT_EQ(parsed->access_path, protocol::PlanAccessPath::kIndexLookup);
+  EXPECT_EQ(parsed->access_path, PlanAccessPath::kIndexLookup);
   EXPECT_EQ(parsed->num_records, 1234u);
   EXPECT_EQ(parsed->posting_size, 56u);
   EXPECT_EQ(parsed->num_shards, 8u);

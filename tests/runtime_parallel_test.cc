@@ -1,7 +1,9 @@
 // The parallel batch runtime must be a pure performance feature: batched
 // and sharded execution has to produce byte-identical results and an
 // unchanged observation log relative to one-at-a-time selects, under any
-// thread/shard configuration and under concurrent clients.
+// thread/shard configuration and under concurrent clients. A mixed batch
+// (mutating and read legs) must answer exactly like the same envelopes
+// sent one at a time.
 
 #include <gtest/gtest.h>
 
@@ -14,8 +16,7 @@
 #include "crypto/random.h"
 #include "dbph/scheme.h"
 #include "protocol/messages.h"
-#include "server/runtime/batch_executor.h"
-#include "server/runtime/sharded_relation.h"
+#include "protocol/plan_report.h"
 #include "server/runtime/thread_pool.h"
 #include "server/untrusted_server.h"
 
@@ -63,49 +64,6 @@ TEST(ThreadPoolTest, ParallelForFromWithinATaskDoesNotDeadlock) {
     pool.ParallelFor(8, [&](size_t) { total.fetch_add(1); });
   });
   EXPECT_EQ(total.load(), 32);
-}
-
-TEST(ShardedRelationTest, AnyShardCountReproducesSequentialScan) {
-  crypto::HmacDrbg rng("sharded", 1);
-  auto ph = core::DatabasePh::Create(TableSchema(), ToBytes("key"));
-  ASSERT_TRUE(ph.ok());
-  auto encrypted = ph->EncryptRelation(BuildTable(101), &rng);
-  ASSERT_TRUE(encrypted.ok());
-
-  storage::HeapFile heap;
-  std::vector<storage::RecordId> records;
-  for (const auto& doc : encrypted->documents) {
-    Bytes serialized;
-    doc.AppendTo(&serialized);
-    records.push_back(heap.Insert(serialized));
-  }
-  auto query = ph->EncryptQuery("T", "grp", Value::Int(3));
-  ASSERT_TRUE(query.ok());
-
-  // Baseline: a single shard is by construction the sequential scan.
-  server::runtime::ShardedRelation whole(&heap, &records,
-                                         encrypted->check_length, 1);
-  std::vector<server::runtime::ShardMatch> expected;
-  ASSERT_TRUE(whole.ScanShard(0, query->trapdoor, &expected).ok());
-  ASSERT_FALSE(expected.empty());
-
-  for (size_t shards : {2u, 3u, 7u, 101u, 500u}) {
-    server::runtime::ShardedRelation view(&heap, &records,
-                                          encrypted->check_length, shards);
-    EXPECT_LE(view.num_shards(), records.size());
-    std::vector<server::runtime::ShardMatch> got;
-    for (size_t s = 0; s < view.num_shards(); ++s) {
-      ASSERT_TRUE(view.ScanShard(s, query->trapdoor, &got).ok());
-    }
-    ASSERT_EQ(got.size(), expected.size()) << shards << " shards";
-    for (size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].rid, expected[i].rid);
-      Bytes a, b;
-      got[i].doc.AppendTo(&a);
-      expected[i].doc.AppendTo(&b);
-      EXPECT_EQ(a, b);
-    }
-  }
 }
 
 /// Deploys one (server, client) pair over deterministic randomness so two
@@ -259,34 +217,147 @@ TEST(BatchSelectTest, ConcurrentBatchedClientsMatchSequentialBaseline) {
             queries_before + kThreads * kBatchesPerThread * queries.size());
 }
 
-TEST(BatchExecutorTest, NullPoolRunsInlineAndNullViewsAreSkipped) {
-  crypto::HmacDrbg rng("executor", 2);
-  auto ph = core::DatabasePh::Create(TableSchema(), ToBytes("key"));
-  ASSERT_TRUE(ph.ok());
-  auto encrypted = ph->EncryptRelation(BuildTable(30), &rng);
-  ASSERT_TRUE(encrypted.ok());
-  storage::HeapFile heap;
-  std::vector<storage::RecordId> records;
-  for (const auto& doc : encrypted->documents) {
-    Bytes serialized;
-    doc.AppendTo(&serialized);
-    records.push_back(heap.Insert(serialized));
-  }
-  server::runtime::ShardedRelation view(&heap, &records,
-                                        encrypted->check_length, 3);
-  auto query = ph->EncryptQuery("T", "grp", Value::Int(1));
-  ASSERT_TRUE(query.ok());
+/// The sub-responses of a kBatchResponse.
+std::vector<protocol::Envelope> BatchReplies(const Bytes& wire) {
+  auto response = protocol::Envelope::Parse(wire);
+  EXPECT_TRUE(response.ok());
+  if (!response.ok()) return {};
+  EXPECT_EQ(response->type, protocol::MessageType::kBatchResponse);
+  auto replies = protocol::ParseBatchPayload(response->payload);
+  EXPECT_TRUE(replies.ok()) << replies.status();
+  return replies.ok() ? std::move(*replies) : std::vector<protocol::Envelope>{};
+}
 
-  server::runtime::BatchExecutor executor(nullptr);
-  std::vector<server::runtime::SelectJob> jobs(2);
-  jobs[0].view = &view;
-  jobs[0].trapdoor = &query->trapdoor;
-  // jobs[1] stays unresolved (null view).
-  auto outcomes = executor.ExecuteSelects(jobs);
-  ASSERT_EQ(outcomes.size(), 2u);
-  EXPECT_TRUE(outcomes[0].status.ok());
-  EXPECT_EQ(outcomes[0].matches.size(), 3u);  // 30 rows, grp = i % 10
-  EXPECT_TRUE(outcomes[1].matches.empty());
+protocol::Envelope QueryEnvelope(protocol::MessageType type,
+                                 const core::EncryptedQuery& query) {
+  protocol::Envelope envelope;
+  envelope.type = type;
+  query.AppendTo(&envelope.payload);
+  return envelope;
+}
+
+protocol::PlanReport ParsePlan(const protocol::Envelope& envelope) {
+  EXPECT_EQ(envelope.type, protocol::MessageType::kExplainResult);
+  ByteReader reader(envelope.payload);
+  auto report = protocol::PlanReport::ReadFrom(&reader);
+  EXPECT_TRUE(report.ok()) << report.status();
+  return report.ok() ? *report : protocol::PlanReport{};
+}
+
+TEST(BatchSelectTest, UnresolvedLegFailsAloneInABatch) {
+  // A select leg on an unknown relation fails with NotFound and logs
+  // nothing, while the resolved legs beside it answer as usual.
+  Deployment d;
+  ASSERT_TRUE(d.client.Outsource(BuildTable(30)).ok());
+  auto scheme = d.client.SchemeFor("T");
+  ASSERT_TRUE(scheme.ok());
+  auto known = (*scheme)->EncryptQuery("T", "grp", Value::Int(1));
+  auto unknown = (*scheme)->EncryptQuery("Nope", "grp", Value::Int(1));
+  ASSERT_TRUE(known.ok());
+  ASSERT_TRUE(unknown.ok());
+  const size_t before = d.server.observations().queries().size();
+
+  protocol::Envelope batch;
+  batch.type = protocol::MessageType::kBatchRequest;
+  batch.payload = protocol::SerializeBatchPayload(
+      {QueryEnvelope(protocol::MessageType::kSelect, *known),
+       QueryEnvelope(protocol::MessageType::kSelect, *unknown),
+       QueryEnvelope(protocol::MessageType::kSelect, *known)});
+  auto replies = BatchReplies(d.server.HandleRequest(batch.Serialize()));
+  ASSERT_EQ(replies.size(), 3u);
+  EXPECT_EQ(replies[0].type, protocol::MessageType::kSelectResult);
+  EXPECT_EQ(replies[1].type, protocol::MessageType::kError);
+  EXPECT_EQ(replies[2].type, protocol::MessageType::kSelectResult);
+  ByteReader first(replies[0].payload);
+  EXPECT_EQ(*first.ReadUint32(), 3u);  // 30 rows, grp = i % 10
+  EXPECT_EQ(replies[0].payload, replies[2].payload);
+  EXPECT_EQ(d.server.observations().queries().size(), before + 2);
+}
+
+TEST(BatchSelectTest, MixedBatchAnswersLikeTheSameEnvelopesOneByOne) {
+  // One deployment gets {append, select, EXPLAIN, fetch, delete, select,
+  // EXPLAIN} as a single locked batch; its twin (identical ciphertext by
+  // DRBG construction) gets the same envelopes one at a time. Every read
+  // leg runs on a snapshot published just before it, so the two must
+  // agree byte for byte, and so must Eve's transcripts.
+  Deployment batched;
+  Deployment single;
+  Relation table = BuildTable(40);
+  ASSERT_TRUE(batched.client.Outsource(table).ok());
+  ASSERT_TRUE(single.client.Outsource(table).ok());
+
+  auto scheme = batched.client.SchemeFor("T");
+  ASSERT_TRUE(scheme.ok());
+  const core::DatabasePh& ph = **scheme;
+  crypto::HmacDrbg rng("mixed-batch-append", 11);
+  protocol::Envelope append;
+  append.type = protocol::MessageType::kAppendTuples;
+  AppendLengthPrefixed(&append.payload, ToBytes("T"));
+  AppendUint32(&append.payload, 3);
+  for (int i = 0; i < 3; ++i) {
+    auto doc = ph.EncryptTuple(
+        rel::Tuple({Value::Str("new" + std::to_string(i)), Value::Int(2)}),
+        &rng);
+    ASSERT_TRUE(doc.ok()) << doc.status();
+    doc->AppendTo(&append.payload);
+  }
+  auto selected = ph.EncryptQuery("T", "grp", Value::Int(2));
+  auto deleted = ph.EncryptQuery("T", "key", Value::Str("k12"));
+  ASSERT_TRUE(selected.ok());
+  ASSERT_TRUE(deleted.ok());
+  protocol::Envelope fetch;
+  fetch.type = protocol::MessageType::kFetchRelation;
+  fetch.payload = ToBytes("T");
+  const std::vector<protocol::Envelope> legs = {
+      append,
+      QueryEnvelope(protocol::MessageType::kSelect, *selected),
+      QueryEnvelope(protocol::MessageType::kExplain, *selected),
+      fetch,
+      QueryEnvelope(protocol::MessageType::kDeleteWhere, *deleted),
+      QueryEnvelope(protocol::MessageType::kSelect, *selected),
+      QueryEnvelope(protocol::MessageType::kExplain, *selected),
+  };
+
+  protocol::Envelope batch;
+  batch.type = protocol::MessageType::kBatchRequest;
+  batch.payload = protocol::SerializeBatchPayload(legs);
+  auto replies = BatchReplies(batched.server.HandleRequest(batch.Serialize()));
+  ASSERT_EQ(replies.size(), legs.size());
+  for (size_t i = 0; i < legs.size(); ++i) {
+    Bytes expected = single.server.HandleRequest(legs[i].Serialize());
+    EXPECT_EQ(replies[i].Serialize(), expected) << "leg " << i;
+  }
+
+  EXPECT_EQ(replies[0].type, protocol::MessageType::kAppendOk);
+  ByteReader first(replies[1].payload);
+  EXPECT_EQ(*first.ReadUint32(), 7u);  // 4 stored + 3 appended
+  // The select leg memoized its trapdoor inside the batch: the EXPLAIN
+  // right after it already takes the index path.
+  protocol::PlanReport explained = ParsePlan(replies[2]);
+  EXPECT_EQ(explained.access_path, protocol::PlanAccessPath::kIndexLookup);
+  EXPECT_EQ(explained.posting_size, 7u);
+  ByteReader removed(replies[4].payload);
+  EXPECT_EQ(*removed.ReadUint32(), 1u);
+  ByteReader last(replies[5].payload);
+  EXPECT_EQ(*last.ReadUint32(), 6u);  // k12 had grp = 2
+  EXPECT_EQ(ParsePlan(replies[6]).posting_size, 6u);
+
+  const auto& batched_log = batched.server.observations().queries();
+  const auto& single_log = single.server.observations().queries();
+  ASSERT_EQ(batched_log.size(), single_log.size());
+  for (size_t i = 0; i < single_log.size(); ++i) {
+    EXPECT_EQ(batched_log[i].relation, single_log[i].relation);
+    EXPECT_EQ(batched_log[i].trapdoor_bytes, single_log[i].trapdoor_bytes);
+    EXPECT_EQ(batched_log[i].matched_records, single_log[i].matched_records);
+  }
+  ASSERT_EQ(batched.server.observations().stores().size(),
+            single.server.observations().stores().size());
+
+  // After the batch, a top-level EXPLAIN still finds the memo entry.
+  auto later = batched.client.Explain("T", "grp", Value::Int(2));
+  ASSERT_TRUE(later.ok()) << later.status();
+  EXPECT_EQ(later->access_path, protocol::PlanAccessPath::kIndexLookup);
+  EXPECT_EQ(later->posting_size, 6u);
 }
 
 }  // namespace

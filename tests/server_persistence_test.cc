@@ -150,5 +150,49 @@ TEST_F(PersistenceTest, LoadReplacesExistingState) {
   std::remove(path.c_str());
 }
 
+TEST_F(PersistenceTest, FailedRestoreLeavesStateUntouched) {
+  // A well-formed image that holds "Emp" twice: the duplicate must be
+  // rejected while parsing, before the current state is replaced.
+  auto image = server_.SerializeState();
+  ASSERT_TRUE(image.ok()) << image.status();
+  ASSERT_GT(image->size(), 12u);  // magic | version | count | relations
+  Bytes duplicated(image->begin(), image->begin() + 8);
+  AppendUint32(&duplicated, 2);
+  for (int copy = 0; copy < 2; ++copy) {
+    duplicated.insert(duplicated.end(), image->begin() + 12, image->end());
+  }
+
+  Relation other("Other", EmpSchema());
+  ASSERT_TRUE(other.Insert({Value::Str("Brown"), Value::Str("OPS")}).ok());
+  ASSERT_TRUE(client_->Outsource(other).ok());
+  auto hr = client_->Select("Emp", "dept", Value::Str("HR"));
+  ASSERT_TRUE(hr.ok()) << hr.status();
+  ASSERT_EQ(hr->size(), 1u);
+  const auto queries_before = server_.observations().queries();
+  const size_t stores_before = server_.observations().stores().size();
+
+  Status restored = server_.RestoreState(duplicated);
+  EXPECT_EQ(restored.code(), StatusCode::kDataLoss) << restored;
+
+  // Relations, observation log and select answers are all unchanged.
+  EXPECT_EQ(server_.num_relations(), 2u);
+  EXPECT_EQ(*server_.RelationSize("Emp"), 2u);
+  EXPECT_EQ(*server_.RelationSize("Other"), 1u);
+  ASSERT_EQ(server_.observations().queries().size(), queries_before.size());
+  for (size_t i = 0; i < queries_before.size(); ++i) {
+    EXPECT_EQ(server_.observations().queries()[i].trapdoor_bytes,
+              queries_before[i].trapdoor_bytes);
+    EXPECT_EQ(server_.observations().queries()[i].matched_records,
+              queries_before[i].matched_records);
+  }
+  EXPECT_EQ(server_.observations().stores().size(), stores_before);
+  auto again = client_->Select("Emp", "dept", Value::Str("HR"));
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_TRUE(again->SameTuples(*hr));
+  auto ops = client_->Select("Other", "dept", Value::Str("OPS"));
+  ASSERT_TRUE(ops.ok()) << ops.status();
+  EXPECT_EQ(ops->size(), 1u);
+}
+
 }  // namespace
 }  // namespace dbph

@@ -5,7 +5,9 @@
 // with bit-identical results. Materializing 4 GiB to hit the real limit
 // is out of the question, so these tests lower the injectable cap
 // (SetArenaCapForTesting) to force every branch of the fallback and
-// assert scalar/kernel parity.
+// assert scalar/kernel parity. RelationSnapshot::Scan is the server's
+// only trapdoor scan, so its results must also be independent of the
+// shard count and of whether a worker pool runs the shards.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +18,7 @@
 #include "common/bytes.h"
 #include "crypto/random.h"
 #include "dbph/scheme.h"
+#include "server/runtime/thread_pool.h"
 #include "server/snapshot.h"
 #include "swp/search.h"
 
@@ -94,11 +97,12 @@ class SnapshotSealTest : public ::testing::Test {
   }
 
   /// Runs the sharded scan and returns (position, rid) pairs in order.
+  /// A null pool runs the shards inline, one after another.
   std::vector<std::pair<uint64_t, uint64_t>> ScanMatches(
-      const RelationSnapshot& snapshot, size_t num_shards) {
+      const RelationSnapshot& snapshot, size_t num_shards,
+      server::runtime::ThreadPool* pool = nullptr) {
     std::vector<SnapshotMatch> matches;
-    Status status =
-        snapshot.Scan(trapdoor_, num_shards, /*pool=*/nullptr, &matches);
+    Status status = snapshot.Scan(trapdoor_, num_shards, pool, &matches);
     EXPECT_TRUE(status.ok()) << status;
     std::vector<std::pair<uint64_t, uint64_t>> out;
     for (const SnapshotMatch& match : matches) {
@@ -135,6 +139,39 @@ TEST_F(SnapshotSealTest, DefaultCapBuildsArenasAndFindsEveryMatch) {
     if (present) ++found;
   }
   EXPECT_EQ(found, doc_bytes_.size() / 3);
+}
+
+TEST_F(SnapshotSealTest, AnyShardCountAndPoolReproducesTheOneShardScan) {
+  // One inline shard is by construction the sequential scan; every other
+  // fan-out (including more shards than documents, which ScanShardCount
+  // clamps) and a real worker pool must return the same matches and
+  // document bytes, in storage order, on both match paths.
+  server::runtime::ThreadPool pool(2);
+  for (bool kernel : {true, false}) {
+    auto snapshot = BuildSnapshot(/*docs_per_chunk=*/7);
+    snapshot->use_scan_kernel = kernel;
+    std::vector<SnapshotMatch> expected;
+    ASSERT_TRUE(snapshot->Scan(trapdoor_, 1, nullptr, &expected).ok());
+    ASSERT_FALSE(expected.empty());
+    for (size_t num_shards : {2u, 3u, 7u, 30u, 500u}) {
+      EXPECT_LE(snapshot->ScanShardCount(num_shards), doc_bytes_.size());
+      for (server::runtime::ThreadPool* runner :
+           {static_cast<server::runtime::ThreadPool*>(nullptr), &pool}) {
+        std::vector<SnapshotMatch> got;
+        ASSERT_TRUE(snapshot->Scan(trapdoor_, num_shards, runner, &got).ok());
+        ASSERT_EQ(got.size(), expected.size())
+            << num_shards << " shards, kernel " << kernel;
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].position, expected[i].position);
+          EXPECT_EQ(got[i].rid_packed, expected[i].rid_packed);
+          Bytes a, b;
+          got[i].doc.AppendTo(&a);
+          expected[i].doc.AppendTo(&b);
+          EXPECT_EQ(a, b);
+        }
+      }
+    }
+  }
 }
 
 TEST_F(SnapshotSealTest, TinyCapForcesScalarFallbackWithIdenticalResults) {
