@@ -45,19 +45,16 @@
 // proof generation from client-side verification; asserts verified
 // results match the baseline.
 //
-// Scan mode: --scan [--repeats=N] measures honest-full-scan select
-// throughput with the batched HMAC match kernel enabled vs the scalar
-// per-word matcher, over identical ciphertext with the trapdoor index
-// off on both sides (every select really scans). Reports point and
-// ~1%-selectivity probes, the server-side split, per-query server heap
-// allocation counts (via the global operator-new hook below — the
-// kernel path's zero-per-word-allocation claim, measured), and the
-// kernel side's dbph_scan_match_evals_total delta; asserts results and
-// observation logs stay byte-identical across the A/B pair. The
-// acceptance bar for the kernel work is kernel point qps >= 5x the
-// honest-scan qps in the previously committed BENCH_e6.json at
-// --docs=100000 (the precomputed HMAC schedules accelerate the scalar
-// side too, so the in-binary A/B understates the total win).
+// Scan mode: --scan [--repeats=N] [--threads=N] seals one encrypted
+// relation with the server's own chunk code and times, in-process, the
+// server's full trapdoor scan (RelationSnapshot::Scan: the batched HMAC
+// match kernel, sharded over a worker pool) against ScanReference (the
+// scalar per-document sweep kept as its test oracle). Reports point and
+// ~1%-selectivity probes, per-query heap allocation counts (via the
+// global operator-new hook below — the kernel's zero-per-word-allocation
+// claim, measured) and the PRF evaluations per scan; asserts both scans
+// return the same positions, row ids and document bytes and that the
+// kernel evaluates every word slot exactly once.
 //
 // Stats mode: --stats [--repeats=N] measures the observability layer
 // itself: point-select throughput with metrics on vs off over identical
@@ -94,12 +91,14 @@
 #include "net/net_server.h"
 #include "net/tcp_transport.h"
 #include "server/durable_store.h"
+#include "server/runtime/thread_pool.h"
+#include "server/snapshot.h"
 #include "server/untrusted_server.h"
 
 // Global heap-allocation counter, fed by replacing the throwing operator
 // new/delete pairs. Every mode pays one relaxed atomic increment per
-// allocation (noise-level); --scan reads deltas around server dispatch
-// to report allocations per query on each matcher path. The aligned
+// allocation (noise-level); --scan reads deltas around each scan to
+// report allocations per query on each matcher path. The aligned
 // overloads are left alone — replaced and default pairs never mix.
 static std::atomic<uint64_t> g_heap_allocs{0};
 
@@ -362,7 +361,7 @@ struct ParallelBenchConfig {
   bool durability = false;  // compare mutation throughput per fsync policy
   size_t mutations = 2000;  // insert round trips per policy (--durability)
   bool index = false;       // scan vs trapdoor-index select throughput
-  bool scan = false;        // batched-kernel vs scalar scan throughput
+  bool scan = false;        // Scan vs ScanReference, in-process
   size_t repeats = 50;      // repeated-trapdoor selects per side (--index)
   bool integrity = false;   // Merkle proof generation/verification overhead
   bool stats = false;       // metrics overhead + lock-wait share (--stats)
@@ -702,39 +701,32 @@ int RunIndexBench(const ParallelBenchConfig& config) {
   return (all_ok && log_match) ? 0 : 1;
 }
 
-// ------------- batched scan kernel vs scalar matcher (JSON mode) -------------
+// ------------- batched scan kernel vs scalar reference (JSON mode) -----------
 
 int RunScanBench(const ParallelBenchConfig& config) {
-  // Identical DRBG seeds: both deployments hold byte-identical
-  // ciphertext. The trapdoor index is off on BOTH sides, so every
-  // select is an honest full scan — the access path the kernel
-  // accelerates; the only variable is the matcher implementation.
-  server::ServerRuntimeOptions scalar_options;
-  scalar_options.enable_trapdoor_index = false;
-  scalar_options.enable_scan_kernel = false;
-  server::ServerRuntimeOptions kernel_options;
-  kernel_options.enable_trapdoor_index = false;
-  kernel_options.enable_scan_kernel = true;
-  E6Deployment scalar(scalar_options);
-  E6Deployment kernel(kernel_options);
-
-  std::fprintf(stderr, "outsourcing %zu documents twice...\n", config.docs);
-  rel::Relation table = BenchTable(config.docs);
-  if (!scalar.client.Outsource(table).ok() ||
-      !kernel.client.Outsource(table).ok()) {
-    std::fprintf(stderr, "outsource failed\n");
+  // One relation state sealed by the server's own chunk code, scanned
+  // in-process two ways: RelationSnapshot::Scan (the server's one scan:
+  // batched match kernel, sharded over a pool like the server's) and
+  // ScanReference (the scalar per-document sweep kept as its test
+  // oracle). Nothing but the matcher differs.
+  size_t threads = config.threads != 0 ? config.threads
+                                       : std::thread::hardware_concurrency();
+  if (threads == 0) threads = 1;
+  crypto::HmacDrbg rng("e6-scan", 11);
+  auto ph = core::DatabasePh::Create(BenchSchema(), ToBytes("master"));
+  if (!ph.ok()) return 1;
+  std::fprintf(stderr, "encrypting %zu documents...\n", config.docs);
+  auto encrypted = ph->EncryptRelation(BenchTable(config.docs), &rng);
+  if (!encrypted.ok()) return 1;
+  server::RelationSnapshot rel;
+  rel.check_length = encrypted->check_length;
+  uint64_t next_row_id = 0;
+  if (!rel.AppendDocuments(encrypted->documents, &next_row_id).ok()) {
+    std::fprintf(stderr, "sealing chunks failed\n");
     return 1;
   }
-
-  // The kernel side's PRF-evaluation counter, read back through the
-  // kStats surface — the same number EXPLAIN and the slow-query log
-  // report per query.
-  auto match_evals_total = [](E6Deployment* side) -> uint64_t {
-    auto snapshot = side->client.Stats();
-    if (!snapshot.ok()) return 0;
-    auto it = snapshot->counters.find("dbph_scan_match_evals_total");
-    return it == snapshot->counters.end() ? 0 : it->second;
-  };
+  server::runtime::ThreadPool pool(threads);
+  const size_t shards = 4 * threads;  // the server's default fan-out
 
   struct Probe {
     const char* label;
@@ -748,84 +740,70 @@ int RunScanBench(const ParallelBenchConfig& config) {
 
   bool all_ok = true;
   for (const Probe& probe : probes) {
-    auto expected = scalar.client.Select("T", probe.attribute, probe.value);
-    auto warm = kernel.client.Select("T", probe.attribute, probe.value);
-    if (!expected.ok() || !warm.ok()) {
-      std::fprintf(stderr, "warm-up select failed\n");
-      return 1;
-    }
-    bool results_match = expected->SameTuples(*warm);
+    auto query = ph->EncryptQuery("T", probe.attribute, probe.value);
+    if (!query.ok()) return 1;
+    const swp::Trapdoor& trapdoor = query->trapdoor;
 
-    // Timed: `repeats` selects per side. End-to-end time includes the
-    // client decrypting every match (identical both sides); the
-    // server-side split isolates the matcher cost. Allocation deltas
-    // cover server dispatch only — client crypto allocates identically
-    // on both sides and would dilute the comparison.
-    scalar.server_seconds = 0;
-    scalar.server_allocs = 0;
-    Stopwatch scalar_timer;
+    // Timed: `repeats` scans per side, with the heap allocations each
+    // makes (the kernel's zero-per-word-allocation claim, measured).
+    std::vector<server::SnapshotMatch> reference;
+    uint64_t allocs_before = g_heap_allocs.load(std::memory_order_relaxed);
+    Stopwatch reference_timer;
     for (size_t i = 0; i < config.repeats; ++i) {
-      auto r = scalar.client.Select("T", probe.attribute, probe.value);
-      if (!r.ok()) return 1;
-      if (i == 0) results_match = results_match && r->SameTuples(*expected);
+      reference.clear();
+      if (!rel.ScanReference(trapdoor, &reference).ok()) return 1;
     }
-    double scalar_seconds = scalar_timer.ElapsedSeconds();
-    double scalar_server_seconds = scalar.server_seconds;
-    uint64_t scalar_allocs = scalar.server_allocs;
+    double reference_seconds = reference_timer.ElapsedSeconds();
+    uint64_t reference_allocs =
+        g_heap_allocs.load(std::memory_order_relaxed) - allocs_before;
 
-    uint64_t evals_before = match_evals_total(&kernel);
-    kernel.server_seconds = 0;
-    kernel.server_allocs = 0;
+    std::vector<server::SnapshotMatch> kernel;
+    uint64_t kernel_evals = 0;
+    allocs_before = g_heap_allocs.load(std::memory_order_relaxed);
     Stopwatch kernel_timer;
     for (size_t i = 0; i < config.repeats; ++i) {
-      auto r = kernel.client.Select("T", probe.attribute, probe.value);
-      if (!r.ok()) return 1;
-      if (i == 0) results_match = results_match && r->SameTuples(*expected);
+      kernel.clear();
+      if (!rel.Scan(trapdoor, shards, &pool, &kernel, &kernel_evals).ok()) {
+        return 1;
+      }
     }
     double kernel_seconds = kernel_timer.ElapsedSeconds();
-    double kernel_server_seconds = kernel.server_seconds;
-    uint64_t kernel_allocs = kernel.server_allocs;
-    uint64_t kernel_evals = match_evals_total(&kernel) - evals_before;
+    uint64_t kernel_allocs =
+        g_heap_allocs.load(std::memory_order_relaxed) - allocs_before;
 
-    double scalar_qps = static_cast<double>(config.repeats) / scalar_seconds;
-    double kernel_qps = static_cast<double>(config.repeats) / kernel_seconds;
+    bool results_match = kernel.size() == reference.size();
+    for (size_t i = 0; results_match && i < kernel.size(); ++i) {
+      Bytes a, b;
+      kernel[i].doc.AppendTo(&a);
+      reference[i].doc.AppendTo(&b);
+      results_match = kernel[i].position == reference[i].position &&
+                      kernel[i].row_id == reference[i].row_id && a == b;
+    }
+    results_match = results_match && kernel_evals == rel.word_slots * config.repeats;
+
     double repeats_d = static_cast<double>(config.repeats);
+    double scalar_qps = repeats_d / reference_seconds;
+    double kernel_qps = repeats_d / kernel_seconds;
     std::printf(
         "{\"bench\":\"e6_scan\",\"probe\":\"%s\",\"docs\":%zu,"
-        "\"repeats\":%zu,\"result_size\":%zu,\"sha256_kernel\":\"%s\","
+        "\"repeats\":%zu,\"threads\":%zu,\"shards\":%zu,"
+        "\"result_size\":%zu,\"sha256_kernel\":\"%s\","
         "\"scalar_seconds\":%.6f,\"kernel_seconds\":%.6f,"
         "\"scalar_qps\":%.2f,\"kernel_qps\":%.2f,\"speedup\":%.3f,"
-        "\"server_scalar_seconds\":%.6f,\"server_kernel_seconds\":%.6f,"
-        "\"server_speedup\":%.3f,"
         "\"scalar_allocs_per_query\":%.1f,\"kernel_allocs_per_query\":%.1f,"
         "\"kernel_match_evals\":%llu,"
         "\"results_match\":%s}\n",
-        probe.label, config.docs, config.repeats, expected->size(),
-        crypto::Sha256KernelName(crypto::ActiveSha256Kernel()),
-        scalar_seconds, kernel_seconds, scalar_qps, kernel_qps,
-        kernel_qps / scalar_qps, scalar_server_seconds, kernel_server_seconds,
-        scalar_server_seconds / kernel_server_seconds,
-        static_cast<double>(scalar_allocs) / repeats_d,
+        probe.label, config.docs, config.repeats, threads, shards,
+        kernel.size(), crypto::Sha256KernelName(crypto::ActiveSha256Kernel()),
+        reference_seconds, kernel_seconds, scalar_qps, kernel_qps,
+        kernel_qps / scalar_qps,
+        static_cast<double>(reference_allocs) / repeats_d,
         static_cast<double>(kernel_allocs) / repeats_d,
-        static_cast<unsigned long long>(kernel_evals),
+        static_cast<unsigned long long>(kernel_evals / config.repeats),
         results_match ? "true" : "false");
     all_ok = all_ok && results_match;
   }
-
-  // Byte-identical observation logs across the whole run, entry by
-  // entry — the tentpole's A/B property, checked at real workload size.
-  const auto& scalar_log = scalar.server.observations().queries();
-  const auto& kernel_log = kernel.server.observations().queries();
-  bool log_match = scalar_log.size() == kernel_log.size();
-  for (size_t i = 0; log_match && i < scalar_log.size(); ++i) {
-    log_match =
-        scalar_log[i].relation == kernel_log[i].relation &&
-        scalar_log[i].trapdoor_bytes == kernel_log[i].trapdoor_bytes &&
-        scalar_log[i].matched_records == kernel_log[i].matched_records;
-  }
-  std::fprintf(stderr, "observation logs %s (%zu entries per side)\n",
-               log_match ? "identical" : "DIVERGED", scalar_log.size());
-  return (all_ok && log_match) ? 0 : 1;
+  return all_ok ? 0 : 1;
 }
 
 // ---------------- mutation throughput per fsync policy (JSON mode) -----------

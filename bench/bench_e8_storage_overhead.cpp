@@ -9,15 +9,30 @@
 // (number of attributes) per tuple; variable-length classes shrink that
 // toward the plaintext size (trading a length-class leak); the baselines
 // add only labels on top of a compact payload.
+//
+// A second table gives what the untrusted server keeps per stored
+// document: the heap bytes (mallinfo2().uordblks, after malloc_trim(0))
+// a kStoreRelation request leaves behind, over the benchmark's T(key,
+// val) relation with integrity off, on with an unverified owner, and on
+// with an Enforce owner (which also uploads the search entries).
+// --rows=N sets the relation size (default 20000).
+
+#include <malloc.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "baselines/bucket/bucket_scheme.h"
 #include "baselines/damiani/hash_scheme.h"
+#include "client/client.h"
 #include "crypto/random.h"
+#include "dbph/encrypted_relation.h"
 #include "dbph/scheme.h"
+#include "protocol/messages.h"
+#include "server/untrusted_server.h"
 
 using namespace dbph;
 
@@ -72,9 +87,75 @@ Shape MakeShape(const char* label, std::vector<rel::Attribute> attrs,
   return Shape{label, *schema, std::move(table)};
 }
 
+/// Heap bytes in use, after returning free memory to the system.
+size_t HeapInUse() {
+  malloc_trim(0);
+  return mallinfo2().uordblks;
+}
+
+/// The bytes the server keeps per document after storing `rows` rows of
+/// T(key, val) (key kN, val N % 100): the heap delta across the
+/// kStoreRelation request alone. Sets *doc_bytes to the mean serialized
+/// document size.
+double ServerBytesPerDocument(size_t rows, bool integrity,
+                              client::VerifyMode mode, double* doc_bytes) {
+  auto schema = rel::Schema::Create({
+      {"key", rel::ValueType::kString, 12},
+      {"val", rel::ValueType::kInt64, 10},
+  });
+  rel::Relation table("T", *schema);
+  for (size_t n = 0; n < rows; ++n) {
+    (void)table.Insert({rel::Value::Str("k" + std::to_string(n)),
+                        rel::Value::Int(static_cast<int64_t>(n % 100))});
+  }
+  server::ServerRuntimeOptions options;
+  options.enable_integrity = integrity;
+  server::UntrustedServer server(options);
+  crypto::HmacDrbg rng("e8-server", 1);
+  size_t retained = 0;
+  size_t total_doc_bytes = 0;
+  client::Client owner(
+      ToBytes("e8 server master"),
+      [&](const Bytes& request) {
+        auto envelope = protocol::Envelope::Parse(request);
+        if (!envelope.ok() ||
+            envelope->type != protocol::MessageType::kStoreRelation) {
+          return server.HandleRequest(request);
+        }
+        {
+          ByteReader reader(envelope->payload);
+          auto relation = core::EncryptedRelation::ReadFrom(&reader);
+          if (!relation.ok()) return Bytes{};
+          for (const auto& doc : relation->documents) {
+            total_doc_bytes += doc.SerializedSize();
+          }
+        }
+        const size_t before = HeapInUse();
+        Bytes response = server.HandleRequest(request);
+        retained = HeapInUse() - before;
+        return response;
+      },
+      &rng);
+  owner.set_verify_mode(mode);
+  if (!owner.Outsource(table).ok()) return -1;
+  *doc_bytes =
+      static_cast<double>(total_doc_bytes) / static_cast<double>(rows);
+  return static_cast<double>(retained) / static_cast<double>(rows);
+}
+
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  size_t server_rows = 20000;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--rows=", 7) == 0) {
+      server_rows = std::strtoull(argv[i] + 7, nullptr, 10);
+    }
+  }
+  if (server_rows == 0) {
+    std::fprintf(stderr, "--rows must be a positive row count\n");
+    return 2;
+  }
   crypto::HmacDrbg rng("e8", 1);
   const size_t kRows = 500;
 
@@ -183,5 +264,33 @@ int main() {
       "Note: dbph rows include the 16 B nonce and the 32 B integrity tag\n"
       "per tuple (authenticate_documents defaults to on); disable the tag\n"
       "to recover 32 B/tuple in the honest-but-curious model.\n");
+
+  std::printf(
+      "\nE8: server heap bytes per stored document, %zu rows of T(key, "
+      "val) (mallinfo2 uordblks delta across kStoreRelation, after "
+      "malloc_trim)\n\n",
+      server_rows);
+  std::printf("%-44s %10s %14s\n", "server set-up", "doc B", "server B/doc");
+  struct Setup {
+    const char* label;
+    bool integrity;
+    client::VerifyMode mode;
+  };
+  const Setup setups[] = {
+      {"integrity off", false, client::VerifyMode::kOff},
+      {"integrity on, unverified owner", true, client::VerifyMode::kOff},
+      {"integrity on, Enforce owner (search entries)", true,
+       client::VerifyMode::kEnforce},
+  };
+  for (const Setup& setup : setups) {
+    double doc_bytes = 0;
+    double per_doc = ServerBytesPerDocument(server_rows, setup.integrity,
+                                            setup.mode, &doc_bytes);
+    if (per_doc < 0) {
+      std::printf("server set-up '%s' failed\n", setup.label);
+      return 1;
+    }
+    std::printf("%-44s %10.1f %14.1f\n", setup.label, doc_bytes, per_doc);
+  }
   return 0;
 }

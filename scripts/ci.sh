@@ -25,9 +25,10 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 
 # Docs hygiene: every relative markdown link in README.md and docs/ must
-# resolve, and every dbph_serverd flag must be documented in
-# docs/OPERATIONS.md — so the docs tree cannot silently rot as flags and
-# files move.
+# resolve, every dbph_serverd flag must be documented in
+# docs/OPERATIONS.md, and every flag row there must be one the daemon
+# still prints — so the docs tree cannot silently rot as flags and files
+# move.
 run_docs_stage() {
   local failed=0
   local md
@@ -52,15 +53,24 @@ run_docs_stage() {
                | sed -E 's/^\[[^]]*\]\(//; s/\)$//')
   done
 
-  # Every flag dbph_serverd advertises must appear in OPERATIONS.md.
-  local flag
+  # Every flag dbph_serverd advertises must appear in OPERATIONS.md...
+  local flag help_flags
+  help_flags="$("$BUILD_DIR/dbph_serverd" --help \
+                  | grep -oE '^\s+--[a-z-]+' | tr -d ' ' | sort -u)"
   while IFS= read -r flag; do
     if ! grep -q -- "$flag" docs/OPERATIONS.md; then
       echo "docs: dbph_serverd flag $flag missing from docs/OPERATIONS.md" >&2
       failed=1
     fi
-  done < <("$BUILD_DIR/dbph_serverd" --help \
-             | grep -oE '^\s+--[a-z-]+' | tr -d ' ' | sort -u)
+  done <<< "$help_flags"
+  # ...and every `| `--flag` row there must be one the daemon prints.
+  while IFS= read -r flag; do
+    if ! grep -qx -- "$flag" <<< "$help_flags"; then
+      echo "docs: docs/OPERATIONS.md documents $flag, which dbph_serverd --help does not print" >&2
+      failed=1
+    fi
+  done < <(grep -oE '^\| `--[a-z-]+' docs/OPERATIONS.md \
+             | sed -E 's/^\| `//' | sort -u)
 
   if [ "$failed" != "0" ]; then
     echo "docs hygiene stage FAILED" >&2
@@ -97,14 +107,17 @@ run_tsan_stage() {
   # kernel dispatch resolves through a function-local static, and the
   # batched scan shares one MatchContext per shard across a pooled scan
   # wave — first-use races in either are TSan's to catch.
+  # snapshot_seal_test too: its scans fan shards out over a worker pool
+  # that reads the sealed chunks the test then shares into successor
+  # states.
   cmake --build "$tsan_dir" -j "$(nproc)" --target \
     runtime_test runtime_parallel_test net_frame_test net_server_test \
     net_interleave_test protocol_fuzz_test wal_recovery_test \
     differential_test server_persistence_test planner_test sql_test \
     obs_metrics_test obs_leakage_test concurrency_race_test \
-    swp_match_kernel_test crypto_hmac_test
+    swp_match_kernel_test crypto_hmac_test snapshot_seal_test
   ctest --test-dir "$tsan_dir" --output-on-failure --no-tests=error \
-    -R 'runtime|net_|protocol_fuzz|wal_recovery|differential|server_persistence|planner|sql|obs_metrics|obs_leakage|concurrency_race|swp_match_kernel|crypto_hmac' \
+    -R 'runtime|net_|protocol_fuzz|wal_recovery|differential|server_persistence|planner|sql|obs_metrics|obs_leakage|concurrency_race|swp_match_kernel|crypto_hmac|snapshot_seal' \
     -j "$(nproc)"
 }
 
@@ -123,8 +136,10 @@ run_asan_stage() {
   # not a silent wrong answer.
   # crypto_search_tree_test rides the integrity label: proof verifiers
   # walk attacker-shaped neighbor lists. snapshot_seal_test is explicit:
-  # the seal-overflow fallback rebuilds chunks around a discarded arena,
-  # exactly where a stale ref would read out of bounds. The word-crypto
+  # appends and deletes rebuild sealed chunks with rebased word refs and
+  # document offsets, and its scans read straight from those buffers —
+  # a ref left pointing past its chunk is an out-of-bounds read. The
+  # word-crypto
   # suites ride along: Feistel rounds, pads and stream inputs run on
   # stack scratch with a heap fallback for long words, and the golden and
   # reference tests drive both sides of every threshold.
@@ -225,14 +240,15 @@ run_matrix_stage() {
   #       provide it (AVX2 and AVX-512F always come from the attributes);
   #   (2) runtime dispatch: DBPH_SHA256_KERNEL forces each kernel —
   #       including the portable scalar fallback — through the full
-  #       HMAC vector suite and the batched-vs-scalar equivalence
-  #       tests. Unsupported values fall back to the best supported
+  #       HMAC vector suite, the batched-vs-scalar equivalence tests
+  #       and the chunk store's Scan-against-ScanReference property
+  #       test. Unsupported values fall back to the best supported
   #       kernel, so the loop is safe on any host.
   local v2_dir="${BUILD_DIR}-v2"
   cmake -B "$v2_dir" -S . \
     -DCMAKE_CXX_FLAGS="-march=x86-64-v2"
   cmake --build "$v2_dir" -j "$(nproc)" --target \
-    crypto_hmac_test swp_match_kernel_test
+    crypto_hmac_test swp_match_kernel_test snapshot_seal_test
   local kernel
   for kernel in portable sse41 avx2 shani avx512; do
     for dir in "$BUILD_DIR" "$v2_dir"; do
@@ -241,6 +257,8 @@ run_matrix_stage() {
       DBPH_SHA256_KERNEL="$kernel" "$dir/crypto_hmac_test" \
         --gtest_brief=1
       DBPH_SHA256_KERNEL="$kernel" "$dir/swp_match_kernel_test" \
+        --gtest_brief=1
+      DBPH_SHA256_KERNEL="$kernel" "$dir/snapshot_seal_test" \
         --gtest_brief=1
     done
   done
@@ -258,7 +276,7 @@ fi
 if [ "${DBPH_MATRIX_ONLY:-0}" = "1" ]; then
   cmake -B "$BUILD_DIR" -S .
   cmake --build "$BUILD_DIR" -j "$(nproc)" --target \
-    crypto_hmac_test swp_match_kernel_test
+    crypto_hmac_test swp_match_kernel_test snapshot_seal_test
   run_matrix_stage
   exit 0
 fi
@@ -301,9 +319,9 @@ if [ -x "$BUILD_DIR/bench_e6_performance" ]; then
   # ciphertext, asserting byte-identical results and observation logs
   # (tiny sizes — the mode must not rot; real numbers via scripts/bench.sh).
   "$BUILD_DIR/bench_e6_performance" --index --docs=2000 --repeats=5
-  # ...and the scan mode: batched-kernel vs scalar matching over
-  # identical ciphertext, asserting byte-identical results and
-  # observation logs (tiny sizes — real numbers via scripts/bench.sh).
+  # ...and the scan mode: the server's batched scan vs the scalar
+  # reference sweep over one sealed relation, asserting identical
+  # matches (tiny sizes — real numbers via scripts/bench.sh).
   "$BUILD_DIR/bench_e6_performance" --scan --docs=2000 --repeats=5
   # ...and the integrity mode: proof generation + enforced verification
   # vs the proof-free baseline, asserting identical results.

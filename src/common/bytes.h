@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -70,9 +71,11 @@ class ScratchBytes {
 
 /// \brief Cursor-style reader over a byte buffer, mirror of the Append*
 /// helpers. All reads are bounds-checked and return errors on truncation.
+/// Reads a view, so the buffer must outlive the reader (a document is
+/// parsed straight out of the chunk that stores it, with no copy first).
 class ByteReader {
  public:
-  explicit ByteReader(const Bytes& data) : data_(data) {}
+  explicit ByteReader(std::span<const uint8_t> data) : data_(data) {}
 
   Result<uint32_t> ReadUint32();
   Result<uint64_t> ReadUint64();
@@ -84,7 +87,7 @@ class ByteReader {
   size_t remaining() const { return data_.size() - pos_; }
 
  private:
-  const Bytes& data_;
+  std::span<const uint8_t> data_;
   size_t pos_ = 0;
 };
 

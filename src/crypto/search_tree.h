@@ -37,8 +37,8 @@ namespace crypto {
 /// can then trust adjacency forever.
 ///
 /// Complexity: every mutator rebuilds the interior in O(#tags) hashes —
-/// mutations already pay O(n) in the server (full-scan deletes, arena
-/// re-seal), so the search tree never dominates them. The select-path
+/// mutations already pay O(n) in the server (full-scan deletes, the row
+/// tree copy), so the search tree never dominates them. The select-path
 /// costs are the ones that matter and they are O(log #tags) per proof.
 class SearchTree {
  public:

@@ -54,7 +54,8 @@ struct DurableStoreOptions {
 /// log order always equals apply order, whatever raced on the wire.
 /// Replay re-dispatches the logged envelopes through HandleRequest:
 /// every handler is deterministic, so recovery rebuilds byte-identical
-/// state (heap layout and record ids included).
+/// state (documents, chunk layout and row ids included, row ids
+/// renumbered from the image).
 ///
 /// Records carry LSNs and the snapshot header stores the last LSN it
 /// covers; replay skips records at or below it. That closes the crash

@@ -17,7 +17,7 @@ namespace planner {
 /// \brief Server-side trapdoor → posting-list index for one relation.
 ///
 /// Memoizes the outcome of full trapdoor scans: after Eve has evaluated
-/// trapdoor ϕ against every stored document once, the matched record ids
+/// trapdoor ϕ against every stored document once, the matched row ids
 /// (in storage order) are cached so a repeat of the same ϕ becomes a
 /// posting-list fetch instead of an O(n) scan.
 ///
@@ -28,13 +28,13 @@ namespace planner {
 /// her ObservationLog alone; maintaining it reveals nothing beyond the
 /// log, and serving from it must be (and is) byte-identical to scanning.
 ///
-/// Thread model: all mutation of the *live* index happens under the
-/// server's single-writer dispatch lock, exactly like the relation map.
-/// Selects never touch the live index: each published relation snapshot
-/// carries a frozen copy, read via Peek (hit/miss accounting lives in
-/// server-side atomics instead, and memoizing a scan a select performed
-/// takes the dispatch lock — see UntrustedServer::TryMemoizeFromSnapshot).
-/// The index is volatile
+/// Thread model: an index is part of an immutable relation state. A
+/// mutation (append, delete, memoizing a scan) copies it, applies the
+/// change to the copy under the server's single-writer dispatch lock,
+/// and installs the copy with the relation's successor state; readers
+/// consult an installed index only via the const, stats-free Peek
+/// (hit/miss accounting lives in server-side atomics; see
+/// UntrustedServer::TryMemoizeFromSnapshot). The index is volatile
 /// cache: recovery (RestoreState / WAL replay) starts cold and
 /// deterministically rebuilds entries as queries repeat — correctness
 /// never depends on index contents.
@@ -53,7 +53,7 @@ class TrapdoorIndex {
     return max_trapdoors_ > 0 && trapdoors_.size() >= max_trapdoors_;
   }
 
-  /// The memoized posting list for a trapdoor (record ids in storage
+  /// The memoized posting list for a trapdoor (row ids in storage
   /// order), or nullptr when this exact trapdoor has never completed a
   /// full scan. An empty list is a real answer ("scanned, nothing
   /// matched"), distinct from nullptr. Const and stats-free, so a frozen
@@ -70,7 +70,7 @@ class TrapdoorIndex {
 
   /// Incremental maintenance for AppendTuples: evaluates every memoized
   /// trapdoor against the newly appended documents and extends the
-  /// matching posting lists. `added` pairs each new record id with its
+  /// matching posting lists. `added` pairs each new row id with its
   /// document, in storage (append) order, so extended lists stay in
   /// storage order.
   ///
@@ -91,7 +91,7 @@ class TrapdoorIndex {
   /// can keep warm (budget / documents-per-append entries).
   void set_max_append_evals(size_t max) { max_append_evals_ = max; }
 
-  /// Incremental maintenance for DeleteWhere: removes the deleted record
+  /// Incremental maintenance for DeleteWhere: removes the deleted row
   /// ids from every posting list. Relative order of survivors is
   /// preserved.
   void OnDelete(const std::vector<uint64_t>& removed);

@@ -9,100 +9,108 @@ namespace dbph {
 namespace server {
 
 namespace {
-/// See SetArenaCapForTesting. Plain (non-atomic) because tests set it
-/// on one thread before building snapshots; production never writes it.
-uint64_t g_arena_cap = 0xffffffffull;
+
+/// Serializes `doc` onto the end of `chunk` as its next row.
+Status AppendRow(const swp::EncryptedDocument& doc, uint64_t row_id,
+                 SealedChunk* chunk) {
+  const uint32_t begin = static_cast<uint32_t>(chunk->bytes.size());
+  doc.AppendTo(&chunk->bytes);
+  const size_t first_ref = chunk->word_refs.size();
+  DBPH_RETURN_IF_ERROR(
+      swp::CollectWordRefs(std::span<const uint8_t>(chunk->bytes).subspan(begin),
+                           &chunk->word_refs)
+          .status());
+  for (size_t r = first_ref; r < chunk->word_refs.size(); ++r) {
+    chunk->word_refs[r].offset += begin;
+  }
+  chunk->doc_begin.push_back(static_cast<uint32_t>(chunk->bytes.size()));
+  chunk->row_ids.push_back(row_id);
+  chunk->word_first.push_back(static_cast<uint32_t>(chunk->word_refs.size()));
+  return Status::OK();
+}
+
+/// Copies row `d` of `from` onto the end of `to`, rebasing its offsets.
+void CopyRow(const SealedChunk& from, size_t d, SealedChunk* to) {
+  const std::span<const uint8_t> doc = from.doc(d);
+  const uint32_t shift = static_cast<uint32_t>(to->bytes.size());
+  to->bytes.insert(to->bytes.end(), doc.begin(), doc.end());
+  for (uint32_t r = from.word_first[d]; r < from.word_first[d + 1]; ++r) {
+    swp::WordRef ref = from.word_refs[r];
+    ref.offset = ref.offset - from.doc_begin[d] + shift;
+    to->word_refs.push_back(ref);
+  }
+  to->doc_begin.push_back(static_cast<uint32_t>(to->bytes.size()));
+  to->row_ids.push_back(from.row_ids[d]);
+  to->word_first.push_back(static_cast<uint32_t>(to->word_refs.size()));
+}
+
+/// An empty chunk with exact capacity for `docs` rows, `bytes` bytes and
+/// `words` word slots, so a sealed chunk holds no slack.
+std::shared_ptr<SealedChunk> NewChunk(size_t docs, uint64_t bytes,
+                                      size_t words) {
+  auto chunk = std::make_shared<SealedChunk>();
+  chunk->bytes.reserve(bytes);
+  chunk->doc_begin.reserve(docs + 1);
+  chunk->doc_begin.push_back(0);
+  chunk->row_ids.reserve(docs);
+  chunk->word_refs.reserve(words);
+  chunk->word_first.reserve(docs + 1);
+  chunk->word_first.push_back(0);
+  return chunk;
+}
+
+Result<swp::EncryptedDocument> ParseSpan(std::span<const uint8_t> bytes) {
+  ByteReader reader(bytes);
+  return swp::EncryptedDocument::ReadFrom(&reader);
+}
+
 }  // namespace
 
-void SnapshotChunk::SetArenaCapForTesting(uint64_t cap) {
-  g_arena_cap = cap;
-}
-
-void SnapshotChunk::Seal() {
-  pos_in_chunk.clear();
-  pos_in_chunk.reserve(docs.size());
-  for (size_t i = 0; i < docs.size(); ++i) {
-    pos_in_chunk.emplace(docs[i].rid_packed, static_cast<uint32_t>(i));
-  }
-
-  // Build the scan arena: every word ciphertext copied into one
-  // contiguous buffer, in (document, slot) order, so a trapdoor scan
-  // streams linearly. Word boundaries come from CollectWordRefs, which
-  // performs exactly the checks EncryptedDocument::ReadFrom does — a
-  // document it rejects is marked and re-parsed at scan time for the
-  // identical error status.
-  word_arena.clear();
-  word_refs.clear();
-  word_first.assign(1, 0);
-  doc_wellformed.assign(docs.size(), 1);
-  arena_built = true;
-  std::vector<swp::WordRef> doc_refs;
-  for (size_t i = 0; i < docs.size() && arena_built; ++i) {
-    doc_refs.clear();
-    if (!swp::CollectWordRefs(docs[i].bytes, &doc_refs).ok()) {
-      doc_wellformed[i] = 0;
-      word_first.push_back(static_cast<uint32_t>(word_refs.size()));
-      continue;
-    }
-    for (const swp::WordRef& ref : doc_refs) {
-      const uint64_t at = word_arena.size();
-      if (at + ref.length > g_arena_cap || word_refs.size() >= g_arena_cap) {
-        // Offsets would overflow the 32-bit refs; scans of this chunk
-        // fall back to the per-document scalar path.
-        arena_built = false;
-        break;
-      }
-      word_arena.insert(word_arena.end(), docs[i].bytes.begin() + ref.offset,
-                        docs[i].bytes.begin() + ref.offset + ref.length);
-      word_refs.push_back({static_cast<uint32_t>(at), ref.length});
-    }
-    word_first.push_back(static_cast<uint32_t>(word_refs.size()));
-  }
-  if (!arena_built) {
-    word_arena.clear();
-    word_refs.clear();
-    word_first.clear();
-    doc_wellformed.clear();
-  }
-}
-
-uint64_t RelationSnapshot::PositionOf(uint64_t rid_packed) const {
-  for (size_t c = 0; c < chunks.size(); ++c) {
-    auto it = chunks[c]->pos_in_chunk.find(rid_packed);
-    if (it != chunks[c]->pos_in_chunk.end()) {
-      return chunk_first[c] + it->second;
-    }
-  }
-  return kNotFound;
-}
-
-const SnapshotDoc& RelationSnapshot::doc(uint64_t position) const {
-  // Find the chunk whose first position is the greatest <= position.
-  size_t c = static_cast<size_t>(
+size_t RelationSnapshot::ChunkAt(uint64_t position) const {
+  return static_cast<size_t>(
       std::upper_bound(chunk_first.begin(), chunk_first.end(), position) -
       chunk_first.begin() - 1);
-  return chunks[c]->docs[position - chunk_first[c]];
+}
+
+uint64_t RelationSnapshot::PositionOf(uint64_t row_id) const {
+  // Row ids ascend in storage order across the whole relation.
+  auto chunk = std::partition_point(
+      chunks.begin(), chunks.end(),
+      [row_id](const auto& c) { return c->row_ids.back() < row_id; });
+  if (chunk == chunks.end()) return kNotFound;
+  const std::vector<uint64_t>& ids = (*chunk)->row_ids;
+  auto hit = std::lower_bound(ids.begin(), ids.end(), row_id);
+  if (*hit != row_id) return kNotFound;
+  return chunk_first[chunk - chunks.begin()] + (hit - ids.begin());
+}
+
+std::span<const uint8_t> RelationSnapshot::doc(uint64_t position) const {
+  const size_t c = ChunkAt(position);
+  return chunks[c]->doc(position - chunk_first[c]);
+}
+
+uint64_t RelationSnapshot::row_id(uint64_t position) const {
+  const size_t c = ChunkAt(position);
+  return chunks[c]->row_ids[position - chunk_first[c]];
 }
 
 Result<swp::EncryptedDocument> RelationSnapshot::ParseDoc(
     uint64_t position) const {
-  ByteReader reader(doc(position).bytes);
-  return swp::EncryptedDocument::ReadFrom(&reader);
+  return ParseSpan(doc(position));
 }
 
 Status RelationSnapshot::FetchPostings(const std::vector<uint64_t>& postings,
                                        std::vector<SnapshotMatch>* out) const {
   out->reserve(postings.size());
-  for (uint64_t packed : postings) {
-    uint64_t position = PositionOf(packed);
+  for (uint64_t row : postings) {
+    uint64_t position = PositionOf(row);
     if (position == kNotFound) {
-      // Unreachable by construction: the frozen index and frozen
-      // documents come from the same critical section. Fail closed, as
-      // a heap miss would.
+      // Unreachable by construction: the index and the chunks belong to
+      // the same state. Fail closed.
       return Status::NotFound("record not found");
     }
     DBPH_ASSIGN_OR_RETURN(swp::EncryptedDocument parsed, ParseDoc(position));
-    out->push_back({position, packed, std::move(parsed)});
+    out->push_back({position, row, std::move(parsed)});
   }
   return Status::OK();
 }
@@ -139,104 +147,46 @@ Status RelationSnapshot::Scan(const swp::Trapdoor& trapdoor, size_t num_shards,
   std::vector<Status> shard_status(ranges.size(), Status::OK());
   std::vector<uint64_t> shard_evals(ranges.size(), 0);
 
-  // The reference scalar sweep over global positions [begin, end):
-  // parse every document, match every slot, keep matching documents in
-  // position order. The kernel path below is bit-identical to this.
-  const auto scan_scalar = [&](size_t shard, size_t begin, size_t end) {
-    auto& matches = shard_matches[shard];
-    for (size_t pos = begin; pos < end; ++pos) {
-      ByteReader reader(doc(pos).bytes);
-      auto parsed = swp::EncryptedDocument::ReadFrom(&reader);
-      if (!parsed.ok()) {
-        shard_status[shard] = parsed.status();
-        return false;
-      }
-      if (!swp::SearchDocument(params, trapdoor, *parsed).empty()) {
-        matches.push_back({pos, doc(pos).rid_packed, std::move(*parsed)});
-      }
-    }
-    return true;
-  };
-
-  // The kernel sweep: one MatchContext per shard (precomputed HMAC
-  // schedule + scratch), PRF evaluations batched through the multi-way
-  // compression kernel over each chunk's contiguous word arena. Only
-  // matching documents are parsed; a document CollectWordRefs rejected
-  // is re-parsed for the exact scalar-path error status.
-  const auto scan_kernel = [&](size_t shard) {
+  // One MatchContext per shard (precomputed HMAC schedule + scratch):
+  // PRF evaluations batch through the multi-way compression kernel over
+  // each chunk's word refs, and only matching documents are parsed.
+  const auto scan_shard = [&](size_t shard) -> Status {
+    auto [pos, end] = ranges[shard];
+    if (pos >= end) return Status::OK();
     swp::MatchContext context(params, trapdoor);
     std::vector<uint8_t> match_bits;
-    auto& matches = shard_matches[shard];
-    size_t pos = ranges[shard].first;
-    const size_t end = ranges[shard].second;
-    if (pos >= end) return;
-    size_t c = static_cast<size_t>(
-        std::upper_bound(chunk_first.begin(), chunk_first.end(), pos) -
-        chunk_first.begin() - 1);
-    for (; pos < end; ++c) {
-      const SnapshotChunk& chunk = *chunks[c];
+    for (size_t c = ChunkAt(pos); pos < end; ++c) {
+      const SealedChunk& chunk = *chunks[c];
       const size_t cbegin = chunk_first[c];
       const size_t a = pos - cbegin;
-      const size_t b = std::min(end - cbegin, chunk.docs.size());
-      if (!chunk.arena_built) {
-        if (!scan_scalar(shard, cbegin + a, cbegin + b)) return;
-        pos = cbegin + b;
-        continue;
+      const size_t b = std::min(end - cbegin, chunk.size());
+      const uint32_t rbegin = chunk.word_first[a];
+      const uint32_t rend = chunk.word_first[b];
+      match_bits.resize(rend - rbegin);
+      if (rend > rbegin) {
+        context.MatchMany(
+            chunk.bytes,
+            std::span<const swp::WordRef>(chunk.word_refs.data() + rbegin,
+                                          rend - rbegin),
+            match_bits.data());
       }
-      size_t d = a;
-      while (d < b) {
-        if (!chunk.doc_wellformed[d]) {
-          // Fail closed with the exact parse status the scalar path
-          // would have surfaced for this document.
-          shard_status[shard] = ParseDoc(cbegin + d).status();
-          shard_evals[shard] = context.match_evals();
-          return;
-        }
-        size_t e = d;
-        while (e < b && chunk.doc_wellformed[e]) ++e;
-        const uint32_t rbegin = chunk.word_first[d];
-        const uint32_t rend = chunk.word_first[e];
-        match_bits.resize(rend - rbegin);
-        if (rend > rbegin) {
-          context.MatchMany(
-              std::span<const uint8_t>(chunk.word_arena.data(),
-                                       chunk.word_arena.size()),
-              std::span<const swp::WordRef>(chunk.word_refs.data() + rbegin,
-                                            rend - rbegin),
-              match_bits.data());
-        }
-        for (size_t w = d; w < e; ++w) {
-          bool any = false;
-          for (uint32_t r = chunk.word_first[w]; r < chunk.word_first[w + 1];
-               ++r) {
-            if (match_bits[r - rbegin] != 0) {
-              any = true;
-              break;
-            }
-          }
-          if (!any) continue;
-          auto parsed = ParseDoc(cbegin + w);
-          if (!parsed.ok()) {  // unreachable: CollectWordRefs accepted it
-            shard_status[shard] = parsed.status();
-            shard_evals[shard] = context.match_evals();
-            return;
-          }
-          matches.push_back(
-              {cbegin + w, chunk.docs[w].rid_packed, std::move(*parsed)});
-        }
-        d = e;
+      for (size_t d = a; d < b; ++d) {
+        const auto first = match_bits.begin() + (chunk.word_first[d] - rbegin);
+        const auto last =
+            match_bits.begin() + (chunk.word_first[d + 1] - rbegin);
+        if (std::find(first, last, uint8_t{1}) == last) continue;
+        DBPH_ASSIGN_OR_RETURN(swp::EncryptedDocument parsed,
+                              ParseSpan(chunk.doc(d)));
+        shard_matches[shard].push_back(
+            {cbegin + d, chunk.row_ids[d], std::move(parsed)});
       }
       pos = cbegin + b;
     }
     shard_evals[shard] = context.match_evals();
+    return Status::OK();
   };
-
   const auto scan_range = [&](size_t shard) {
-    if (use_scan_kernel) {
-      scan_kernel(shard);
-    } else {
-      scan_scalar(shard, ranges[shard].first, ranges[shard].second);
-    }
+    shard_status[shard] = scan_shard(shard);
   };
   if (pool != nullptr && ranges.size() > 1) {
     pool->ParallelFor(ranges.size(), scan_range);
@@ -255,6 +205,127 @@ Status RelationSnapshot::Scan(const swp::Trapdoor& trapdoor, size_t num_shards,
     for (auto& match : matches) out->push_back(std::move(match));
   }
   return Status::OK();
+}
+
+Status RelationSnapshot::ScanReference(const swp::Trapdoor& trapdoor,
+                                       std::vector<SnapshotMatch>* out) const {
+  swp::SwpParams params;
+  params.word_length = trapdoor.target.size();
+  params.check_length = check_length;
+  for (uint64_t pos = 0; pos < num_docs; ++pos) {
+    DBPH_ASSIGN_OR_RETURN(swp::EncryptedDocument parsed, ParseDoc(pos));
+    if (!swp::SearchDocument(params, trapdoor, parsed).empty()) {
+      out->push_back({pos, row_id(pos), std::move(parsed)});
+    }
+  }
+  return Status::OK();
+}
+
+Status RelationSnapshot::AppendDocuments(
+    const std::vector<swp::EncryptedDocument>& docs, uint64_t* next_row_id) {
+  std::vector<uint64_t> sizes;
+  sizes.reserve(docs.size());
+  for (const swp::EncryptedDocument& doc : docs) {
+    sizes.push_back(doc.SerializedSize());
+    if (sizes.back() > 0xffffffffull) {
+      return Status::DataLoss("document too large for a sealed chunk");
+    }
+  }
+  // The tail chunk takes documents while they fit under the cap; then
+  // each new chunk takes at least one, and more while they fit.
+  const SealedChunk* tail = chunks.empty() ? nullptr : chunks.back().get();
+  size_t i = 0;
+  while (i < docs.size()) {
+    uint64_t bytes = tail != nullptr ? tail->bytes.size() : 0;
+    size_t words = tail != nullptr ? tail->word_refs.size() : 0;
+    size_t end = i;
+    while (end < docs.size() &&
+           ((tail == nullptr && end == i) ||
+            bytes + sizes[end] <= kChunkBytes)) {
+      bytes += sizes[end];
+      words += docs[end].words.size();
+      ++end;
+    }
+    if (end == i) {  // the tail is full
+      tail = nullptr;
+      continue;
+    }
+    const size_t kept = tail != nullptr ? tail->size() : 0;
+    std::shared_ptr<SealedChunk> chunk = NewChunk(kept + end - i, bytes, words);
+    if (tail != nullptr) {
+      // The tail's rows keep their offsets; assign stays in the exact
+      // capacity NewChunk reserved.
+      chunk->bytes = tail->bytes;
+      chunk->doc_begin = tail->doc_begin;
+      chunk->row_ids = tail->row_ids;
+      chunk->word_refs = tail->word_refs;
+      chunk->word_first = tail->word_first;
+    }
+    for (; i < end; ++i) {
+      DBPH_RETURN_IF_ERROR(AppendRow(docs[i], (*next_row_id)++, chunk.get()));
+      word_slots += docs[i].words.size();
+    }
+    if (tail != nullptr) {
+      chunks.back() = std::move(chunk);
+    } else {
+      chunk_first.push_back(num_docs);
+      chunks.push_back(std::move(chunk));
+    }
+    num_docs = chunk_first.back() + chunks.back()->size();
+    tail = nullptr;
+  }
+  return Status::OK();
+}
+
+void RelationSnapshot::RemovePositions(const std::vector<uint64_t>& positions) {
+  if (positions.empty()) return;
+  std::vector<std::shared_ptr<const SealedChunk>> kept_chunks;
+  std::vector<uint64_t> kept_first;
+  kept_chunks.reserve(chunks.size());
+  kept_first.reserve(chunks.size());
+  uint64_t kept_docs = 0;
+  size_t next = 0;
+  for (size_t c = 0; c < chunks.size(); ++c) {
+    const SealedChunk& chunk = *chunks[c];
+    const uint64_t first = chunk_first[c];
+    size_t stop = next;
+    while (stop < positions.size() && positions[stop] < first + chunk.size()) {
+      ++stop;
+    }
+    if (stop == next) {  // untouched: shared as is
+      kept_chunks.push_back(chunks[c]);
+      kept_first.push_back(kept_docs);
+      kept_docs += chunk.size();
+      continue;
+    }
+    // Size the survivors exactly, then copy them into a fresh chunk.
+    std::vector<uint8_t> removed(chunk.size(), 0);
+    for (size_t r = next; r < stop; ++r) removed[positions[r] - first] = 1;
+    next = stop;
+    size_t docs = 0, words = 0;
+    uint64_t bytes = 0;
+    for (size_t d = 0; d < chunk.size(); ++d) {
+      const size_t slots = chunk.word_first[d + 1] - chunk.word_first[d];
+      if (removed[d]) {
+        word_slots -= slots;
+        continue;
+      }
+      ++docs;
+      words += slots;
+      bytes += chunk.doc_begin[d + 1] - chunk.doc_begin[d];
+    }
+    if (docs == 0) continue;  // emptied: dropped
+    std::shared_ptr<SealedChunk> rebuilt = NewChunk(docs, bytes, words);
+    for (size_t d = 0; d < chunk.size(); ++d) {
+      if (!removed[d]) CopyRow(chunk, d, rebuilt.get());
+    }
+    kept_chunks.push_back(std::move(rebuilt));
+    kept_first.push_back(kept_docs);
+    kept_docs += docs;
+  }
+  chunks = std::move(kept_chunks);
+  chunk_first = std::move(kept_first);
+  num_docs = kept_docs;
 }
 
 }  // namespace server

@@ -301,125 +301,21 @@ void UntrustedServer::RecordQueryObservation(QueryObservation observation) {
 
 // ----------------------------------------------- snapshot publication
 
-void UntrustedServer::MarkDirtyLocked(StoredRelation* stored,
-                                      SnapshotDirty level) {
-  if (static_cast<uint8_t>(level) > static_cast<uint8_t>(stored->dirty)) {
-    stored->dirty = level;
-  }
-  if (level == SnapshotDirty::kAppend || level == SnapshotDirty::kFull) {
-    // Document state changed: new generation. kMeta (index/attestation
-    // motion) deliberately keeps the stamp, so a reader's deferred scan
-    // memoization stays valid across it.
-    stored->doc_generation = ++doc_generation_counter_;
-  }
+void UntrustedServer::InstallLocked(
+    const std::string& name, std::shared_ptr<const RelationSnapshot> next) {
+  relations_[name] = std::move(next);
   snapshot_stale_ = true;
-}
-
-std::shared_ptr<const RelationSnapshot>
-UntrustedServer::BuildRelationSnapshotLocked(
-    const StoredRelation& stored) const {
-  auto rel = std::make_shared<RelationSnapshot>();
-  rel->check_length = stored.check_length;
-  rel->num_docs = stored.records.size();
-  auto chunk = std::make_shared<SnapshotChunk>();
-  chunk->docs.reserve(stored.records.size());
-  for (const auto& rid : stored.records) {
-    auto bytes = heap_.Get(rid);
-    // A heap miss is unreachable (records and heap mutate together
-    // under the dispatch lock); an empty doc fails closed at parse time.
-    chunk->docs.push_back({rid.Pack(), bytes.ok() ? std::move(*bytes)
-                                                  : Bytes{}});
-  }
-  chunk->Seal();
-  rel->chunks.push_back(std::move(chunk));
-  rel->chunk_first.push_back(0);
-  if (runtime_options_.enable_trapdoor_index) {
-    rel->index = std::make_shared<const planner::TrapdoorIndex>(stored.index);
-  }
-  if (runtime_options_.enable_integrity) {
-    rel->tree = std::make_shared<const crypto::MerkleTree>(stored.tree);
-    rel->epoch = stored.epoch;
-    rel->attested_epoch = stored.attested_epoch;
-    rel->root_signature = stored.root_signature;
-    rel->search = std::make_shared<const crypto::SearchTree>(stored.search);
-    rel->search_signature = stored.search_signature;
-  }
-  rel->doc_generation = stored.doc_generation;
-  rel->word_slots = stored.word_slots;
-  rel->use_scan_kernel = runtime_options_.enable_scan_kernel;
-  return rel;
 }
 
 void UntrustedServer::PublishDirtyLocked() {
   if (!snapshot_stale_) return;
-  auto next = std::make_shared<ServerSnapshot>();
-  for (auto& [name, stored] : relations_) {
-    std::shared_ptr<const RelationSnapshot> rel;
-    if (stored.dirty == SnapshotDirty::kNone && stored.published != nullptr) {
-      rel = stored.published;
-    } else if (stored.published == nullptr ||
-               stored.dirty == SnapshotDirty::kFull ||
-               (stored.dirty == SnapshotDirty::kAppend &&
-                stored.published->chunks.size() + 1 > kMaxSnapshotChunks)) {
-      // First publish, arbitrary document churn, or an append stream
-      // that exhausted the chunk budget: coalesce back to one chunk.
-      rel = BuildRelationSnapshotLocked(stored);
-    } else {
-      // kMeta / kAppend: the existing document chunks are still exact —
-      // share them and refresh only what moved (appended docs as one new
-      // sealed chunk; index / epoch / attestation copies; the trees only
-      // after an append — no kMeta path touches either tree).
-      auto fresh = std::make_shared<RelationSnapshot>();
-      const RelationSnapshot& old = *stored.published;
-      fresh->check_length = stored.check_length;
-      fresh->num_docs = old.num_docs;
-      fresh->chunks = old.chunks;
-      fresh->chunk_first = old.chunk_first;
-      if (stored.dirty == SnapshotDirty::kAppend &&
-          !stored.pending_append.empty()) {
-        auto chunk = std::make_shared<SnapshotChunk>();
-        chunk->docs = std::move(stored.pending_append);
-        chunk->Seal();
-        fresh->chunk_first.push_back(fresh->num_docs);
-        fresh->num_docs += chunk->docs.size();
-        fresh->chunks.push_back(std::move(chunk));
-      }
-      if (runtime_options_.enable_trapdoor_index) {
-        fresh->index =
-            std::make_shared<const planner::TrapdoorIndex>(stored.index);
-      }
-      if (runtime_options_.enable_integrity) {
-        if (stored.dirty == SnapshotDirty::kMeta) {
-          fresh->tree = old.tree;
-          fresh->search = old.search;
-        } else {
-          fresh->tree =
-              std::make_shared<const crypto::MerkleTree>(stored.tree);
-          fresh->search =
-              std::make_shared<const crypto::SearchTree>(stored.search);
-        }
-        fresh->epoch = stored.epoch;
-        fresh->attested_epoch = stored.attested_epoch;
-        fresh->root_signature = stored.root_signature;
-        fresh->search_signature = stored.search_signature;
-      }
-      fresh->doc_generation = stored.doc_generation;
-      fresh->word_slots = stored.word_slots;
-      fresh->use_scan_kernel = runtime_options_.enable_scan_kernel;
-      rel = std::move(fresh);
-    }
-    stored.published = rel;
-    stored.dirty = SnapshotDirty::kNone;
-    stored.pending_append.clear();
-    next->relations.emplace(name, std::move(rel));
-  }
+  auto next = std::make_shared<const ServerSnapshot>(ServerSnapshot{relations_});
   // Swap in the new snapshot; the old one is released outside the
   // publish mutex so a slow snapshot destructor never blocks readers.
   std::shared_ptr<const ServerSnapshot> retired;
   {
     std::lock_guard<std::mutex> lock(publish_mutex_);
-    retired = std::exchange(
-        published_, std::shared_ptr<const ServerSnapshot>(std::move(next)));
+    retired = std::exchange(published_, std::move(next));
   }
   snapshot_stale_ = false;
 }
@@ -437,16 +333,63 @@ void UntrustedServer::TryMemoizeFromSnapshot(
   if (!holds_dispatch_lock && !lock.try_lock()) return;
   auto it = relations_.find(relation);
   if (it == relations_.end()) return;
+  const RelationSnapshot& live = *it->second;
   // The scan result describes the pinned snapshot's documents; it seeds
-  // the live index only while the live document state is still that
+  // the index only while the current document state is still that
   // generation (index/attestation churn in between is fine).
-  if (it->second.doc_generation != pinned->doc_generation) return;
-  it->second.index.Memoize(trapdoor_bytes, trapdoor, postings);
-  MarkDirtyLocked(&it->second, SnapshotDirty::kMeta);
+  if (live.doc_generation != pinned->doc_generation) return;
+  if (live.index->AtCapacity() || live.index->Peek(trapdoor_bytes) != nullptr) {
+    return;  // Memoize would be a no-op
+  }
+  auto index = std::make_shared<planner::TrapdoorIndex>(*live.index);
+  index->Memoize(trapdoor_bytes, trapdoor, postings);
+  auto next = std::make_shared<RelationSnapshot>(live);
+  next->index = std::move(index);
+  InstallLocked(relation, std::move(next));
   PublishDirtyLocked();
 }
 
 // ----------------------------------------------------- typed handlers
+
+Result<std::shared_ptr<RelationSnapshot>> UntrustedServer::NewRelationLocked(
+    const core::EncryptedRelation& relation,
+    const std::vector<crypto::SearchTree::Entry>* search_entries) {
+  auto rel = std::make_shared<RelationSnapshot>();
+  rel->check_length = relation.check_length;
+  if (runtime_options_.enable_integrity) {
+    // Validate (and adopt) the owner's search structure before sealing
+    // any document: a malformed section rejects the whole store.
+    auto search = std::make_shared<crypto::SearchTree>();
+    if (search_entries != nullptr) {
+      DBPH_RETURN_IF_ERROR(
+          search->Assign(*search_entries, relation.documents.size()));
+    }
+    rel->search = std::move(search);
+  }
+  DBPH_RETURN_IF_ERROR(rel->AppendDocuments(relation.documents, &next_row_id_));
+  if (runtime_options_.enable_integrity) {
+    std::vector<crypto::MerkleTree::Hash> leaves;
+    leaves.reserve(rel->num_docs);
+    for (const auto& chunk : rel->chunks) {
+      for (size_t d = 0; d < chunk->size(); ++d) {
+        const std::span<const uint8_t> doc = chunk->doc(d);
+        leaves.push_back(crypto::MerkleTree::LeafHash(doc.data(), doc.size()));
+      }
+    }
+    auto tree = std::make_shared<crypto::MerkleTree>();
+    tree->Assign(std::move(leaves));
+    rel->tree = std::move(tree);
+    rel->epoch = 1;
+  }
+  if (runtime_options_.enable_trapdoor_index) {
+    auto index = std::make_shared<planner::TrapdoorIndex>();
+    index->set_max_trapdoors(runtime_options_.max_indexed_trapdoors);
+    index->set_max_append_evals(runtime_options_.max_index_append_evals);
+    rel->index = std::move(index);
+  }
+  rel->doc_generation = ++doc_generation_counter_;
+  return rel;
+}
 
 Status UntrustedServer::StoreRelationLocked(
     const core::EncryptedRelation& relation,
@@ -455,49 +398,18 @@ Status UntrustedServer::StoreRelationLocked(
     return Status::AlreadyExists("relation '" + relation.name +
                                  "' already stored");
   }
-  StoredRelation stored;
-  stored.check_length = relation.check_length;
-  if (runtime_options_.enable_integrity && search_entries != nullptr) {
-    // Validate (and adopt) the owner's search structure BEFORE any
-    // document reaches the heap: a malformed section rejects the whole
-    // store with nothing half-applied.
-    DBPH_RETURN_IF_ERROR(
-        stored.search.Assign(*search_entries, relation.documents.size()));
-  }
-  stored.index.set_max_trapdoors(runtime_options_.max_indexed_trapdoors);
-  stored.index.set_max_append_evals(runtime_options_.max_index_append_evals);
-  stored.records.reserve(relation.documents.size());
-  const bool integrity = runtime_options_.enable_integrity;
-  std::vector<crypto::MerkleTree::Hash> leaves;
-  if (integrity) leaves.reserve(relation.documents.size());
-  for (const auto& doc : relation.documents) {
-    Bytes serialized;
-    doc.AppendTo(&serialized);
-    storage::RecordId rid = heap_.Insert(serialized);
-    if (integrity) leaves.push_back(crypto::MerkleTree::LeafHash(serialized));
-    stored.records.push_back(rid);
-    stored.word_slots += doc.words.size();
-  }
-  if (integrity) {
-    stored.tree.Assign(std::move(leaves));
-    stored.epoch = 1;
-  }
+  DBPH_ASSIGN_OR_RETURN(std::shared_ptr<RelationSnapshot> rel,
+                        NewRelationLocked(relation, search_entries));
   RecordStoreObservation(relation.name, relation.documents.size(),
                          relation.CiphertextBytes());
-  auto [it, inserted] = relations_.emplace(relation.name, std::move(stored));
-  MarkDirtyLocked(&it->second, SnapshotDirty::kFull);
+  InstallLocked(relation.name, std::move(rel));
   return Status::OK();
 }
 
 Status UntrustedServer::DropRelationLocked(const std::string& name) {
-  auto it = relations_.find(name);
-  if (it == relations_.end()) {
+  if (relations_.erase(name) == 0) {
     return Status::NotFound("relation '" + name + "' not stored");
   }
-  for (const auto& rid : it->second.records) {
-    DBPH_RETURN_IF_ERROR(heap_.Delete(rid));
-  }
-  relations_.erase(it);
   snapshot_stale_ = true;  // the next publish simply omits the relation
   return Status::OK();
 }
@@ -534,31 +446,33 @@ Status UntrustedServer::AttestRootLocked(
   if (signature.size() != 32) {
     return Status::InvalidArgument("attestation signature must be 32 bytes");
   }
+  const RelationSnapshot& live = *it->second;
   // Eve cannot verify the HMAC (she has no keys) but she refuses an
   // attestation of a state she does not hold: storing it would hand the
   // next verifier a signature that never matches a proof.
-  if (epoch != it->second.epoch || root != it->second.tree.Root()) {
+  if (epoch != live.epoch || root != live.tree->Root()) {
     return Status::FailedPrecondition(
         "attestation does not match the server's current (epoch, root)");
   }
+  auto next = std::make_shared<RelationSnapshot>(live);
   if (search_root != nullptr) {
     if (search_signature == nullptr || search_signature->size() != 32) {
       return Status::InvalidArgument(
           "search attestation signature must be 32 bytes");
     }
-    if (*search_root != it->second.search.Root()) {
+    if (*search_root != live.search->Root()) {
       return Status::FailedPrecondition(
           "attestation does not match the server's current search root");
     }
-    it->second.search_signature = *search_signature;
+    next->search_signature = *search_signature;
   } else {
     // An old-style attestation blesses only the row tree; a previously
     // deposited search signature would then be over a stale state.
-    it->second.search_signature.clear();
+    next->search_signature.clear();
   }
-  it->second.attested_epoch = epoch;
-  it->second.root_signature = signature;
-  MarkDirtyLocked(&it->second, SnapshotDirty::kMeta);
+  next->attested_epoch = epoch;
+  next->root_signature = signature;
+  InstallLocked(name, std::move(next));
   if (runtime_options_.enable_metrics) ins_.attestations->Add();
   return Status::OK();
 }
@@ -703,7 +617,7 @@ UntrustedServer::SnapshotSelectBatch(
       std::vector<uint64_t> postings;
       postings.reserve(st.matches.size());
       for (const SnapshotMatch& match : st.matches) {
-        postings.push_back(match.rid_packed);
+        postings.push_back(match.row_id);
       }
       TryMemoizeFromSnapshot(
           queries[i].relation, st.rel, st.trapdoor_bytes, queries[i].trapdoor,
@@ -757,7 +671,7 @@ UntrustedServer::SnapshotSelectBatch(
     std::vector<swp::EncryptedDocument> docs;
     docs.reserve(st.matches.size());
     for (SnapshotMatch& match : st.matches) {
-      observation.matched_records.push_back(match.rid_packed);
+      observation.matched_records.push_back(match.row_id);
       if (st.rel->tree != nullptr) {
         results[i].positions.push_back(match.position);
       }
@@ -835,43 +749,47 @@ Status UntrustedServer::AppendTuplesLocked(
   if (it == relations_.end()) {
     return Status::NotFound("relation '" + name + "' not stored");
   }
-  size_t bytes = 0;
+  const RelationSnapshot& live = *it->second;
+  auto next = std::make_shared<RelationSnapshot>(live);
   const bool integrity = runtime_options_.enable_integrity;
   if (integrity && search_delta != nullptr) {
-    // All-or-nothing, BEFORE any document reaches the heap: a malformed
-    // delta rejects the append with both trees untouched.
-    const uint64_t begin = it->second.records.size();
-    DBPH_RETURN_IF_ERROR(it->second.search.ApplyAppendDelta(
-        *search_delta, begin, begin + documents.size()));
+    auto search = std::make_shared<crypto::SearchTree>(*live.search);
+    DBPH_RETURN_IF_ERROR(search->ApplyAppendDelta(
+        *search_delta, live.num_docs, live.num_docs + documents.size()));
+    next->search = std::move(search);
   }
-  std::vector<std::pair<uint64_t, const swp::EncryptedDocument*>> added;
-  added.reserve(documents.size());
-  for (const auto& doc : documents) {
-    Bytes serialized;
-    doc.AppendTo(&serialized);
-    bytes += serialized.size();
-    storage::RecordId rid = heap_.Insert(serialized);
-    if (integrity) {
-      it->second.tree.AppendLeaf(crypto::MerkleTree::LeafHash(serialized));
-    }
-    it->second.records.push_back(rid);
-    it->second.word_slots += doc.words.size();
-    added.emplace_back(rid.Pack(), &doc);
-    // The same bytes the heap holds, staged so the publish is
-    // O(appended): old chunks shared, these become one new chunk.
-    it->second.pending_append.push_back({rid.Pack(), std::move(serialized)});
+  const uint64_t first_row = next_row_id_;
+  DBPH_RETURN_IF_ERROR(next->AppendDocuments(documents, &next_row_id_));
+  std::shared_ptr<crypto::MerkleTree> tree;
+  if (integrity) tree = std::make_shared<crypto::MerkleTree>(*live.tree);
+  size_t bytes = 0;
+  for (uint64_t pos = live.num_docs; pos < next->num_docs; ++pos) {
+    const std::span<const uint8_t> doc = next->doc(pos);
+    bytes += doc.size();
+    if (tree) tree->AppendLeaf(crypto::MerkleTree::LeafHash(doc.data(), doc.size()));
   }
-  // Every append (even an empty one) is an epoch: the client mirrors the
-  // same rule, so epochs agree without a negotiation round trip.
-  if (integrity) ++it->second.epoch;
+  if (integrity) {
+    next->tree = std::move(tree);
+    // Every append (even an empty one) is an epoch: the client mirrors
+    // the same rule, so epochs agree without a negotiation round trip.
+    ++next->epoch;
+  }
   if (runtime_options_.enable_trapdoor_index) {
     // Keep memoized posting lists exact: evaluate every cached trapdoor
     // against just the new documents (what an Eve replaying her log
     // would do) so a later index-path select equals a fresh full scan.
-    it->second.index.OnAppend(it->second.check_length, added);
+    std::vector<std::pair<uint64_t, const swp::EncryptedDocument*>> added;
+    added.reserve(documents.size());
+    for (size_t i = 0; i < documents.size(); ++i) {
+      added.emplace_back(first_row + i, &documents[i]);
+    }
+    auto index = std::make_shared<planner::TrapdoorIndex>(*live.index);
+    index->OnAppend(live.check_length, added);
+    next->index = std::move(index);
   }
+  next->doc_generation = ++doc_generation_counter_;
   RecordStoreObservation(name, documents.size(), bytes);
-  MarkDirtyLocked(&it->second, SnapshotDirty::kAppend);
+  InstallLocked(name, std::move(next));
   return Status::OK();
 }
 
@@ -883,16 +801,14 @@ Result<size_t> UntrustedServer::DeleteWhereLocked(
   if (it == relations_.end()) {
     return Status::NotFound("relation '" + query.relation + "' not stored");
   }
-  StoredRelation& stored = it->second;
-  // Publish first (an earlier leg of this batch may have written), then
-  // take the match set from the same snapshot scan a select of this
-  // trapdoor runs. Nothing is mutated unless the scan succeeds.
-  PublishDirtyLocked();
-  const RelationSnapshot& rel = *stored.published;
+  const RelationSnapshot& live = *it->second;
+  // The match set is the scan a select of this trapdoor runs, over the
+  // current state (every write applied so far, earlier batch legs
+  // included). Nothing is installed unless the scan succeeds.
   std::vector<SnapshotMatch> matches;
   uint64_t match_evals = 0;
-  DBPH_RETURN_IF_ERROR(rel.Scan(query.trapdoor, ShardCount(), pool(),
-                                &matches, &match_evals));
+  DBPH_RETURN_IF_ERROR(live.Scan(query.trapdoor, ShardCount(), pool(),
+                                 &matches, &match_evals));
 
   QueryObservation observation;
   observation.relation = query.relation;
@@ -903,26 +819,13 @@ Result<size_t> UntrustedServer::DeleteWhereLocked(
   std::vector<uint64_t> removed_positions;
   removed_positions.reserve(matches.size());
   for (const SnapshotMatch& match : matches) {
-    observation.matched_records.push_back(match.rid_packed);
+    observation.matched_records.push_back(match.row_id);
     removed_positions.push_back(match.position);
     if (removed_out != nullptr) {
-      removed_out->emplace_back(match.position, rel.doc(match.position).bytes);
-    }
-    DBPH_RETURN_IF_ERROR(
-        heap_.Delete(storage::RecordId::Unpack(match.rid_packed)));
-    stored.word_slots -= match.doc.words.size();
-  }
-  std::vector<storage::RecordId> kept;
-  kept.reserve(stored.records.size() - matches.size());
-  size_t next = 0;
-  for (size_t pos = 0; pos < stored.records.size(); ++pos) {
-    if (next < removed_positions.size() && removed_positions[next] == pos) {
-      ++next;
-    } else {
-      kept.push_back(stored.records[pos]);
+      const std::span<const uint8_t> doc = live.doc(match.position);
+      removed_out->emplace_back(match.position, Bytes(doc.begin(), doc.end()));
     }
   }
-  stored.records = std::move(kept);
   const size_t removed = matches.size();
   if (runtime_options_.enable_metrics) {
     scratch->trace.relation = query.relation;
@@ -930,21 +833,33 @@ Result<size_t> UntrustedServer::DeleteWhereLocked(
     scratch->trace.match_evals += match_evals;
     scratch->cur.match_evals += SaturateU32(match_evals);
   }
-  if (runtime_options_.enable_integrity) {
-    stored.tree.RemoveSorted(removed_positions);
-    // Both sides apply the identical transform from the (verified)
-    // manifest positions, so the search roots stay in lockstep.
-    stored.search.ApplyDelete(removed_positions);
-    ++stored.epoch;
+  auto next = std::make_shared<RelationSnapshot>(live);
+  if (removed > 0) {
+    next->RemovePositions(removed_positions);
+    next->doc_generation = ++doc_generation_counter_;
+    if (runtime_options_.enable_integrity) {
+      auto tree = std::make_shared<crypto::MerkleTree>(*live.tree);
+      tree->RemoveSorted(removed_positions);
+      next->tree = std::move(tree);
+      // Both sides apply the identical transform from the (verified)
+      // manifest positions, so the search roots stay in lockstep.
+      auto search = std::make_shared<crypto::SearchTree>(*live.search);
+      search->ApplyDelete(removed_positions);
+      next->search = std::move(search);
+    }
+    if (runtime_options_.enable_trapdoor_index) {
+      // Deleted rows leave every posting list (an already-memoized copy
+      // of this delete's trapdoor thereby becomes empty — exactly what a
+      // rescan would find). The delete's trapdoor is deliberately NOT
+      // memoized fresh: delete traffic would otherwise fill the capped
+      // memo with entries only selects repay.
+      auto index = std::make_shared<planner::TrapdoorIndex>(*live.index);
+      index->OnDelete(observation.matched_records);
+      next->index = std::move(index);
+    }
   }
-  if (runtime_options_.enable_trapdoor_index) {
-    // Deleted records leave every posting list (an already-memoized
-    // copy of this delete's trapdoor thereby becomes empty — exactly
-    // what a rescan would find). The delete's trapdoor is deliberately
-    // NOT memoized fresh: delete traffic would otherwise fill the
-    // capped memo with entries only selects repay.
-    stored.index.OnDelete(observation.matched_records);
-  }
+  // Even a match-less delete is an epoch (the client mirrors the rule).
+  if (runtime_options_.enable_integrity) ++next->epoch;
   if (auditor_ != nullptr) {
     // Deletes leak exactly like selects (matched identities via a full
     // scan), so they feed the same per-relation spectrum.
@@ -952,29 +867,8 @@ Result<size_t> UntrustedServer::DeleteWhereLocked(
                           /*used_index=*/false);
   }
   RecordQueryObservation(std::move(observation));
-  // A match-less delete still moved the epoch (and possibly index
-  // stats); with matches the document set itself changed.
-  MarkDirtyLocked(&stored,
-                  removed > 0 ? SnapshotDirty::kFull : SnapshotDirty::kMeta);
+  InstallLocked(query.relation, std::move(next));
   return removed;
-}
-
-Result<std::vector<swp::EncryptedDocument>>
-UntrustedServer::FetchRelationLocked(const std::string& name) const {
-  auto it = relations_.find(name);
-  if (it == relations_.end()) {
-    return Status::NotFound("relation '" + name + "' not stored");
-  }
-  std::vector<swp::EncryptedDocument> documents;
-  documents.reserve(it->second.records.size());
-  for (const auto& rid : it->second.records) {
-    DBPH_ASSIGN_OR_RETURN(Bytes serialized, heap_.Get(rid));
-    ByteReader reader(serialized);
-    DBPH_ASSIGN_OR_RETURN(swp::EncryptedDocument doc,
-                          swp::EncryptedDocument::ReadFrom(&reader));
-    documents.push_back(std::move(doc));
-  }
-  return documents;
 }
 
 Result<Bytes> UntrustedServer::SerializeState() const {
@@ -982,25 +876,31 @@ Result<Bytes> UntrustedServer::SerializeState() const {
   AppendUint32(&out, 0x44425048);  // "DBPH" magic
   AppendUint32(&out, 3);           // format version
   AppendUint32(&out, static_cast<uint32_t>(relations_.size()));
-  for (const auto& [name, stored] : relations_) {
-    core::EncryptedRelation relation;
-    relation.name = name;
-    relation.check_length = stored.check_length;
-    DBPH_ASSIGN_OR_RETURN(relation.documents, FetchRelationLocked(name));
-    relation.AppendTo(&out);
+  for (const auto& [name, rel] : relations_) {
+    // The EncryptedRelation encoding, with the documents written as the
+    // chunks hold them (they are already in their wire serialization).
+    AppendLengthPrefixed(&out, ToBytes(name));
+    AppendUint32(&out, rel->check_length);
+    AppendUint32(&out, static_cast<uint32_t>(rel->num_docs));
+    for (const auto& chunk : rel->chunks) {
+      out.insert(out.end(), chunk->bytes.begin(), chunk->bytes.end());
+    }
     // v2: integrity state rides along. The tree itself is NOT persisted
     // — it is a deterministic function of the ciphertext and rebuilds on
     // restore — but the epoch and the owner's signed root cannot be
     // recomputed from what Eve holds, so they round-trip explicitly.
-    AppendUint64(&out, stored.epoch);
-    AppendUint64(&out, stored.attested_epoch);
-    AppendLengthPrefixed(&out, stored.root_signature);
+    AppendUint64(&out, rel->epoch);
+    AppendUint64(&out, rel->attested_epoch);
+    AppendLengthPrefixed(&out, rel->root_signature);
     // v3: the search structure and its signature. Unlike the row tree,
     // the search entries are NOT derivable from the ciphertext Eve
     // holds (only the owner can enumerate tags), so they round-trip
     // explicitly.
-    protocol::AppendSearchEntries(stored.search.entries(), &out);
-    AppendLengthPrefixed(&out, stored.search_signature);
+    protocol::AppendSearchEntries(
+        rel->search != nullptr ? rel->search->entries()
+                               : std::vector<crypto::SearchTree::Entry>{},
+        &out);
+    AppendLengthPrefixed(&out, rel->search_signature);
   }
   return out;
 }
@@ -1052,8 +952,8 @@ Status UntrustedServer::RestoreStateLocked(const Bytes& data) {
     LoadedRelation entry;
     DBPH_ASSIGN_OR_RETURN(entry.relation,
                           core::EncryptedRelation::ReadFrom(&reader));
-    // A repeated name would only fail in StoreRelationLocked, after the
-    // old state is gone: reject it here, before anything is replaced.
+    // A repeated name would silently shadow its twin in the rebuilt map:
+    // reject it here, before anything is replaced.
     if (!names.insert(entry.relation.name).second) {
       return Status::DataLoss("duplicate relation '" + entry.relation.name +
                               "' in state image");
@@ -1087,31 +987,31 @@ Status UntrustedServer::RestoreStateLocked(const Bytes& data) {
   }
   if (!reader.AtEnd()) return Status::DataLoss("trailing bytes");
 
-  relations_.clear();
-  heap_ = storage::HeapFile();
+  // Build the new relation map aside (fresh row ids, trees rebuilt from
+  // the ciphertext) and swap it in only once every relation loaded.
+  std::map<std::string, std::shared_ptr<const RelationSnapshot>> restored;
+  for (const auto& entry : loaded) {
+    DBPH_ASSIGN_OR_RETURN(
+        std::shared_ptr<RelationSnapshot> rel,
+        NewRelationLocked(entry.relation, entry.search_entries.empty()
+                                              ? nullptr
+                                              : &entry.search_entries));
+    if (runtime_options_.enable_integrity && entry.epoch != 0) {
+      // The tree's root is deterministic from the ciphertext; the
+      // mutation counter and the owner's signed roots come from the
+      // image.
+      rel->epoch = entry.epoch;
+      rel->attested_epoch = entry.attested_epoch;
+      rel->root_signature = entry.root_signature;
+      rel->search_signature = entry.search_signature;
+    }
+    restored.emplace(entry.relation.name, std::move(rel));
+  }
+  relations_ = std::move(restored);
   snapshot_stale_ = true;
   {
     std::lock_guard<std::mutex> lock(log_mutex_);
     log_.Clear();
-  }
-  for (const auto& entry : loaded) {
-    DBPH_RETURN_IF_ERROR(StoreRelationLocked(
-        entry.relation,
-        entry.search_entries.empty() ? nullptr : &entry.search_entries));
-    if (runtime_options_.enable_integrity && entry.epoch != 0) {
-      // The tree was rebuilt from ciphertext by StoreRelationLocked (its
-      // root is deterministic); the mutation counter and the owner's
-      // signed root come from the image.
-      StoredRelation& stored = relations_.at(entry.relation.name);
-      stored.epoch = entry.epoch;
-      stored.attested_epoch = entry.attested_epoch;
-      stored.root_signature = entry.root_signature;
-      stored.search_signature = entry.search_signature;
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(log_mutex_);
-    log_.Clear();  // the re-stores above are not real observations
   }
   return Status::OK();
 }
@@ -1505,12 +1405,11 @@ protocol::Envelope UntrustedServer::DispatchRead(
       Envelope response;
       response.type = MessageType::kFetchResult;
       AppendUint32(&response.payload, static_cast<uint32_t>(rel.num_docs));
-      for (uint64_t pos = 0; pos < rel.num_docs; ++pos) {
-        // The frozen bytes ARE the serialized form — appending them is
-        // byte-identical to re-serializing a parsed document.
-        const Bytes& doc_bytes = rel.doc(pos).bytes;
-        response.payload.insert(response.payload.end(), doc_bytes.begin(),
-                                doc_bytes.end());
+      for (const auto& chunk : rel.chunks) {
+        // The chunks hold the documents in their serialized form —
+        // appending them is byte-identical to re-serializing each one.
+        response.payload.insert(response.payload.end(), chunk->bytes.begin(),
+                                chunk->bytes.end());
       }
       if (rel.tree != nullptr) {
         // Whole-relation completeness proof: positions [0, n) — the

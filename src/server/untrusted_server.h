@@ -26,13 +26,12 @@
 #include "server/planner/trapdoor_index.h"
 #include "server/runtime/thread_pool.h"
 #include "server/snapshot.h"
-#include "storage/heapfile.h"
 
 namespace dbph {
 namespace server {
 
 /// \brief Tuning for the server: scan parallelism, the trapdoor index,
-/// the scan kernel, integrity and observability.
+/// integrity and observability.
 struct ServerRuntimeOptions {
   /// Worker threads for batched selects. 0 = hardware concurrency.
   size_t num_threads = 0;
@@ -59,13 +58,6 @@ struct ServerRuntimeOptions {
   /// should raise this (or the memo shrinks to budget/batch-size
   /// entries).
   size_t max_index_append_evals = 16 * 1024;
-  /// Batched scan kernel: route full scans (selects and deletes alike)
-  /// through the precomputed-HMAC MatchContext over contiguous
-  /// word arenas instead of the per-document scalar matcher. Results,
-  /// ResultProofs, and observation-log entries are byte-identical either
-  /// way (tests assert it) — purely a performance switch, kept as an
-  /// A/B flag for benchmarking and as an escape hatch.
-  bool enable_scan_kernel = true;
   /// Result integrity: maintain a per-relation Merkle tree over the
   /// stored ciphertext (in storage order) and attach a
   /// protocol::ResultProof to every select / fetch / delete response, so
@@ -112,10 +104,11 @@ struct ServerRuntimeOptions {
 
 /// \brief Eve: the honest-but-curious service provider.
 ///
-/// Holds only ciphertext: encrypted documents in a heap file plus the
-/// per-relation record lists. Executes encrypted exact selects by
-/// scanning documents and evaluating the trapdoor — it owns no keys
-/// (note that every operation here type-checks against public data only).
+/// Holds only ciphertext: each relation is one immutable RelationSnapshot
+/// whose sealed chunks are the only copy of its encrypted documents.
+/// Executes encrypted exact selects by scanning documents and evaluating
+/// the trapdoor — it owns no keys (note that every operation here
+/// type-checks against public data only).
 ///
 /// Per the paper's trust model, Eve follows the protocol but records
 /// everything she sees in an ObservationLog; the Section 2 experiments
@@ -139,9 +132,10 @@ class UntrustedServer {
   /// Locking model — single-writer / multi-reader snapshots. Mutating
   /// requests (store / append / delete / drop / attest / flush, and any
   /// batch containing one) serialize on `dispatch_mutex_` for their full
-  /// duration; before releasing the lock they publish an immutable
-  /// per-relation snapshot (owned document bytes + frozen trapdoor index
-  /// + Merkle tree/epoch/attestation) via one atomic shared_ptr swap.
+  /// duration. Each builds its relation's successor state (sealed chunks
+  /// + trapdoor index + Merkle tree/epoch/attestation) aside, and before
+  /// releasing the lock publishes the map of relation states via one
+  /// shared_ptr swap.
   /// Read-shaped requests (select, all-select batches, EXPLAIN, fetch,
   /// stats, leakage report, ping) pin the published snapshot with a
   /// single acquire load and execute WITHOUT the dispatch lock —
@@ -159,7 +153,7 @@ class UntrustedServer {
   /// it); the observation log gains exactly one atomic entry per
   /// executed query — an entry reflects its query's pinned snapshot, and
   /// a reader racing a writer may be transcribed after that writer's
-  /// entry (the matched record ids identify the snapshot it read).
+  /// entry (the matched row ids identify the snapshot it read).
   Bytes HandleRequest(const Bytes& request);
 
   /// As above, with the caller's identity for the debug-only
@@ -286,75 +280,6 @@ class UntrustedServer {
   obs::leakage::LeakageAuditor* leakage_auditor() { return auditor_.get(); }
 
  private:
-  /// How far a relation's published snapshot lags its live state, and
-  /// therefore how much work republishing costs. Levels escalate and
-  /// only PublishDirtyLocked resets them.
-  enum class SnapshotDirty : uint8_t {
-    kNone = 0,    ///< published snapshot is current
-    kMeta = 1,    ///< index/epoch/attestation changed; documents and both
-                  ///< trees did not (republish shares the trees)
-    kAppend = 2,  ///< documents appended (pending_append holds them)
-    kFull = 3,    ///< documents changed arbitrarily; rebuild from heap
-  };
-
-  struct StoredRelation {
-    uint32_t check_length = 4;
-    std::vector<storage::RecordId> records;
-    /// Trapdoor → posting-list memo for this relation. Volatile cache:
-    /// dies with the relation (Drop), starts cold after RestoreState /
-    /// recovery (deterministic rebuild as queries repeat), and is
-    /// maintained incrementally by appends / deletes under the dispatch
-    /// lock. Never consulted when the runtime option disables the index.
-    /// Selects see a frozen copy and consult it via Peek only.
-    planner::TrapdoorIndex index;
-
-    // ---- result-integrity state (maintained only with enable_integrity;
-    // all under the dispatch lock, like everything else here) ----
-
-    /// Merkle tree over the serialized stored documents in storage
-    /// order. Deterministic from the ciphertext, so save/load and WAL
-    /// replay rebuild the identical root.
-    crypto::MerkleTree tree;
-    /// Mutation counter: 1 at StoreRelation, +1 per append / delete.
-    uint64_t epoch = 0;
-    /// The data owner's HMAC over (name, attested_epoch, root) — empty
-    /// until deposited via kAttestRoot; returned in proofs only while
-    /// attested_epoch == epoch (a signature over an older state must
-    /// not bless the current one).
-    uint64_t attested_epoch = 0;
-    Bytes root_signature;
-    /// The authenticated search structure: a Merkle tree over sorted
-    /// (trapdoor-tag digest → posting-list digest) entries, the
-    /// owner-computed commitment to what each query SHOULD return.
-    /// Populated from the search-entry section the integrity-tracking
-    /// client appends to kStoreRelation / kAppendTuples payloads;
-    /// empty (vacuously consistent) when the client sent none.
-    /// Maintained under the dispatch lock in lockstep with `tree` —
-    /// the two share `epoch`.
-    crypto::SearchTree search;
-    /// The owner's HMAC over (name, attested_epoch, search root) under
-    /// the "dbph-search-root-v1" domain; deposited by the extended
-    /// kAttestRoot alongside root_signature, same staleness rule.
-    Bytes search_signature;
-    /// Total word slots across all stored documents — the predicted PRF
-    /// evaluation count a full scan reports (EXPLAIN match_evals).
-    /// Maintained by store/append/delete alongside `records`.
-    uint64_t word_slots = 0;
-
-    // ---- snapshot publication state (under the dispatch lock) ----
-
-    /// The last published frozen view of this relation (what readers
-    /// currently see), and how stale it is.
-    std::shared_ptr<const RelationSnapshot> published;
-    SnapshotDirty dirty = SnapshotDirty::kFull;
-    /// Documents appended since the last publish (owned serialized
-    /// bytes), so an append republishes O(appended) instead of O(n).
-    std::vector<SnapshotDoc> pending_append;
-    /// Stamp of the last document-state change (drawn from the
-    /// server-wide counter, so a drop + re-store never reuses a value).
-    uint64_t doc_generation = 0;
-  };
-
   /// One select's outcome: the documents plus their leaf positions
   /// (empty when integrity is off); `rel` (borrowed from the pinned
   /// snapshot, which the caller keeps alive) is the proof source.
@@ -418,16 +343,17 @@ class UntrustedServer {
     bool holds_dispatch_lock = false;
   };
 
-  // Mutation bodies: the caller holds dispatch_mutex_, and HandleRequest
-  // publishes a fresh snapshot before releasing it.
+  // Mutation bodies: the caller holds dispatch_mutex_. Each builds its
+  // relation's successor state aside and installs it only on success;
+  // HandleRequest publishes before releasing the lock.
 
   /// Deletes every document matching the trapdoor; returns the count.
   /// Deletions leak exactly like selects (the matched identities) and are
   /// recorded in the observation log accordingly: the match set is the
-  /// snapshot scan a select of the same trapdoor runs, taken after
-  /// publishing every write applied so far. When `removed_out` is
-  /// non-null it receives the pre-delete (leaf position, serialized
-  /// document) manifest the client verifies against its own tree.
+  /// scan a select of the same trapdoor runs, over the relation's current
+  /// state (every write applied so far). When `removed_out` is non-null it
+  /// receives the pre-delete (leaf position, serialized document)
+  /// manifest the client verifies against its own tree.
   Result<size_t> DeleteWhereLocked(
       const core::EncryptedQuery& query,
       std::vector<std::pair<uint64_t, Bytes>>* removed_out,
@@ -441,9 +367,8 @@ class UntrustedServer {
       const std::vector<crypto::SearchTree::Entry>* search_entries = nullptr);
   Status DropRelationLocked(const std::string& name);
   /// `search_delta` (optional) holds the appended rows' (tag →
-  /// positions) contributions; applied all-or-nothing BEFORE the
-  /// documents are inserted, so a malformed delta rejects the whole
-  /// append instead of leaving the trees torn.
+  /// positions) contributions; a malformed delta rejects the whole
+  /// append with the relation untouched.
   Status AppendTuplesLocked(
       const std::string& name,
       const std::vector<swp::EncryptedDocument>& documents,
@@ -464,11 +389,15 @@ class UntrustedServer {
                           const crypto::MerkleTree::Hash* search_root = nullptr,
                           const Bytes* search_signature = nullptr);
   Status RestoreStateLocked(const Bytes& data);
-  /// Reads a relation's documents straight from the heap (used by
-  /// SerializeState, which runs caller-locked and must not detour
-  /// through the published snapshot).
-  Result<std::vector<swp::EncryptedDocument>> FetchRelationLocked(
-      const std::string& name) const;
+  /// A new relation's first state: `relation`'s documents sealed into
+  /// chunks under fresh row ids, with its row tree, the owner's search
+  /// entries (optional) and an empty index. Shared by store and restore.
+  Result<std::shared_ptr<RelationSnapshot>> NewRelationLocked(
+      const core::EncryptedRelation& relation,
+      const std::vector<crypto::SearchTree::Entry>* search_entries);
+  /// Installs `next` as `name`'s state; the next publish exposes it.
+  void InstallLocked(const std::string& name,
+                     std::shared_ptr<const RelationSnapshot> next);
 
   /// Dispatch for requests that hold the dispatch lock: the mutations,
   /// kFlush, and batches with at least one mutating leg. `scratch` is
@@ -522,10 +451,11 @@ class UntrustedServer {
   protocol::Envelope MakeSelectResponse(SelectOutcome* outcome,
                                         RequestScratch* scratch);
 
-  /// After a snapshot scan missed the frozen index, memoize the scan
-  /// result into the live index if the live document state is still the
-  /// generation the snapshot was pinned at (doc_generation match —
-  /// index/attestation churn in between is harmless), then republish.
+  /// After a snapshot scan missed the index, memoize the scan result into
+  /// a successor of the relation's current state if its documents are
+  /// still the generation the snapshot was pinned at (doc_generation
+  /// match — index/attestation churn in between is harmless), then
+  /// republish.
   /// A top-level read only try-locks the dispatch mutex and skips on
   /// contention or staleness — a pure performance loss, never a
   /// correctness one; a read leg of a locked request already holds it
@@ -539,16 +469,10 @@ class UntrustedServer {
 
   // ---------------- snapshot publication (dispatch lock held) -----------
 
-  /// Escalates a relation's dirty level (kAppend does not downgrade
-  /// kFull, etc.) and flags the server snapshot stale.
-  void MarkDirtyLocked(StoredRelation* stored, SnapshotDirty level);
-
-  /// Rebuilds `stored`'s frozen view at the recorded dirty level —
-  /// sharing chunks/tree with the previous snapshot where unchanged —
-  /// then swaps a fresh ServerSnapshot. No-op when nothing is stale.
+  /// Swaps in a ServerSnapshot holding a copy of relations_ (pointers
+  /// only: no document, tree or index is copied). No-op when nothing was
+  /// installed since the last publish.
   void PublishDirtyLocked();
-  std::shared_ptr<const RelationSnapshot> BuildRelationSnapshotLocked(
-      const StoredRelation& stored) const;
 
   /// Write-ahead point for a mutating envelope: hands it to the mutation
   /// hook (if any) before the typed handler applies it. kUnavailable on
@@ -601,10 +525,6 @@ class UntrustedServer {
 
   static constexpr size_t kPendingRingSize = 128;
 
-  /// Chunk budget before an append-publish coalesces a relation's
-  /// snapshot back into one chunk (bounds PositionOf's probe count).
-  static constexpr size_t kMaxSnapshotChunks = 16;
-
   /// Completes `cur` from `trace`, stages it as a ring entry (under
   /// stats_mutex_, folding the ring when it fills), and emits the
   /// slow-query log line. Callable from any request thread.
@@ -630,8 +550,10 @@ class UntrustedServer {
   runtime::ThreadPool* pool();
   size_t ShardCount();
 
-  storage::HeapFile heap_;
-  std::map<std::string, StoredRelation> relations_;
+  /// Each relation's current state, under the dispatch lock. The trapdoor
+  /// index inside is volatile cache: it dies with the relation (Drop) and
+  /// starts cold after RestoreState / recovery.
+  std::map<std::string, std::shared_ptr<const RelationSnapshot>> relations_;
   ObservationLog log_;
   /// Eve's-view leakage statistics (null when disabled). Thread-safe
   /// behind its own internal mutex; fed by the locked and snapshot
@@ -662,10 +584,13 @@ class UntrustedServer {
   /// and a strict memory-model reading — flags as racing the next store.)
   mutable std::mutex publish_mutex_;
   std::shared_ptr<const ServerSnapshot> published_;
-  /// Set while any relation's published snapshot lags its live state.
+  /// Set while relations_ holds a state not yet published.
   bool snapshot_stale_ = true;
   /// Source of doc_generation stamps (monotone across all relations).
   uint64_t doc_generation_counter_ = 0;
+  /// Source of row ids (monotone across all relations, restores
+  /// included), so no id ever names two documents within a process.
+  uint64_t next_row_id_ = 0;
   /// Frozen-index consultations by selects — the only hit/miss count
   /// (Peek is stats-free so the frozen copy stays immutable).
   std::atomic<uint64_t> reader_index_hits_{0};

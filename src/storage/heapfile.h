@@ -32,11 +32,8 @@ struct RecordId {
   }
 };
 
-/// \brief Slotted-page record store.
-///
-/// The untrusted server keeps encrypted tuples in a HeapFile; the record id
-/// is the server-visible identity of a ciphertext (what Eve can correlate
-/// across query results — exactly the leakage the games measure).
+/// \brief Slotted-page record store: the plaintext baseline
+/// (baseline::PlainEngine) keeps its rows here.
 ///
 /// Pages are fixed-size in-memory buffers with a classic slot directory:
 /// record data grows from the front, the slot array addresses it, deleted

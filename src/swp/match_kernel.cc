@@ -21,7 +21,7 @@ inline uint32_t Load32BE(const uint8_t* p) {
 
 }  // namespace
 
-Result<size_t> CollectWordRefs(const Bytes& serialized,
+Result<size_t> CollectWordRefs(std::span<const uint8_t> serialized,
                                std::vector<WordRef>* out) {
   const uint8_t* data = serialized.data();
   const size_t size = serialized.size();

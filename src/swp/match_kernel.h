@@ -15,9 +15,10 @@ namespace dbph {
 namespace swp {
 
 /// \brief One candidate ciphertext word inside a contiguous arena:
-/// `length` bytes starting at `offset`. The storage layer keeps every
-/// relation's word ciphertexts in such an arena so a scan streams
-/// linearly instead of pointer-chasing per-word heap vectors.
+/// `length` bytes starting at `offset`. The server's sealed chunks keep
+/// their documents' serialized bytes back to back with one ref per word
+/// slot, so a scan streams linearly instead of pointer-chasing per-word
+/// heap vectors.
 struct WordRef {
   uint32_t offset = 0;
   uint32_t length = 0;
@@ -31,9 +32,8 @@ struct WordRef {
 ///
 /// Performs exactly the bounds checks EncryptedDocument::ReadFrom does,
 /// so it fails on precisely the inputs ReadFrom fails on (callers that
-/// need ReadFrom's exact error status re-parse on failure; the scan
-/// paths do).
-Result<size_t> CollectWordRefs(const Bytes& serialized,
+/// need ReadFrom's exact error status re-parse on failure).
+Result<size_t> CollectWordRefs(std::span<const uint8_t> serialized,
                                std::vector<WordRef>* out);
 
 /// \brief The hot-scan matcher: everything derivable from a (params,

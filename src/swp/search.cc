@@ -59,6 +59,12 @@ void EncryptedDocument::AppendTo(Bytes* out) const {
   AppendLengthPrefixed(out, tag);
 }
 
+size_t EncryptedDocument::SerializedSize() const {
+  size_t size = kDocumentFramingBytes + nonce.size() + tag.size();
+  for (const Bytes& w : words) size += 4 + w.size();
+  return size;
+}
+
 Result<EncryptedDocument> EncryptedDocument::ReadFrom(ByteReader* reader) {
   EncryptedDocument doc;
   DBPH_ASSIGN_OR_RETURN(doc.nonce, reader->ReadLengthPrefixed());

@@ -41,6 +41,8 @@ struct EncryptedDocument {
   crypto::MerkleTree::Hash LeafHash() const;
 
   void AppendTo(Bytes* out) const;
+  /// The number of bytes AppendTo writes.
+  size_t SerializedSize() const;
   static Result<EncryptedDocument> ReadFrom(ByteReader* reader);
 };
 

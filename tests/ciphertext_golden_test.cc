@@ -277,5 +277,61 @@ TEST(CiphertextGoldenTest, VerifiedSessionTranscript) {
             "4b4a74cc9a8d55cf06b6d1a6accea0e65b8fc6f52ea2eafa246035699543b2a5");
 }
 
+// The state image a checkpoint writes (SerializeState) after a seeded
+// Enforce session: documents in storage order, epochs, signed row and
+// search roots, and the owner's search entries, beside a second relation
+// stored without any. Recovery reads these exact bytes back, so a change
+// to how the server holds documents must leave the image identical.
+TEST(CiphertextGoldenTest, StateImageAfterVerifiedSession) {
+  server::UntrustedServer server;
+  crypto::HmacDrbg rng("golden-image", 5);
+  const auto transport = [&](const Bytes& request) {
+    return server.HandleRequest(request);
+  };
+  client::Client owner(ToBytes("golden image master"), transport, &rng);
+  owner.set_verify_mode(client::VerifyMode::kEnforce);
+  client::Client plain(ToBytes("golden image plain"), transport, &rng);
+
+  Relation table("T", NarrowSchema());
+  for (size_t i = 0; i < 12; ++i) {
+    ASSERT_TRUE(table
+                    .Insert({Value::Str("n" + std::to_string(i)),
+                             Value::Int(int64_t(i % 4)),
+                             Value::Boolean(i % 2 == 0)})
+                    .ok());
+  }
+  ASSERT_TRUE(owner.Outsource(table).ok());
+  ASSERT_TRUE(owner
+                  .Insert("T", {Tuple{Value::Str("x1"), Value::Int(2),
+                                      Value::Boolean(false)},
+                                Tuple{Value::Str("x2"), Value::Int(3),
+                                      Value::Boolean(true)}})
+                  .ok());
+  auto removed = owner.DeleteWhere("T", "grp", Value::Int(2));
+  ASSERT_TRUE(removed.ok()) << removed.status().ToString();
+  EXPECT_EQ(*removed, 4u);
+  ASSERT_TRUE(owner
+                  .Insert("T", {Tuple{Value::Str("x3"), Value::Int(1),
+                                      Value::Boolean(true)}})
+                  .ok());
+  removed = owner.DeleteWhere("T", "name", Value::Str("n5"));
+  ASSERT_TRUE(removed.ok()) << removed.status().ToString();
+  EXPECT_EQ(*removed, 1u);
+
+  Relation other("U", NarrowSchema());
+  for (size_t i = 0; i < 5; ++i) {
+    ASSERT_TRUE(other
+                    .Insert({Value::Str("u" + std::to_string(i)),
+                             Value::Int(int64_t(i)), Value::Boolean(true)})
+                    .ok());
+  }
+  ASSERT_TRUE(plain.Outsource(other).ok());
+  ASSERT_TRUE(plain.DeleteWhere("U", "grp", Value::Int(3)).ok());
+
+  auto image = server.SerializeState();
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+  EXPECT_EQ(DigestHex(*image), "ac7fbd295106ab0e25d6d13100d1f8cde4424a9d0e9218d1acd158ffe30466ad");
+}
+
 }  // namespace
 }  // namespace dbph

@@ -346,74 +346,6 @@ TEST(DifferentialTest, TrapdoorIndexOnAndOffAreByteIdenticalUnderWorkload) {
   }
 }
 
-TEST(DifferentialTest, ScanKernelOnAndOffAreByteIdenticalUnderWorkload) {
-  // The scan-kernel contract, differentially: the same seeded random
-  // workload against a kernel-enabled and a kernel-disabled server —
-  // identical DRBG streams, so identical ciphertext and request bytes —
-  // must produce byte-identical wire responses (documents, order, AND
-  // Merkle ResultProofs; integrity is on) and identical observation
-  // logs at every step. The trapdoor index is disabled on both sides so
-  // every select and every delete actually runs the scan path under
-  // test, never a posting-list fetch.
-  struct Side {
-    std::unique_ptr<server::UntrustedServer> server;
-    std::vector<Bytes> responses;
-  };
-  Side sides[2];
-  bool kernel[2] = {true, false};
-  for (int s = 0; s < 2; ++s) {
-    server::ServerRuntimeOptions options;
-    options.num_threads = 2;
-    options.enable_trapdoor_index = false;
-    options.enable_scan_kernel = kernel[s];
-    sides[s].server = std::make_unique<server::UntrustedServer>(options);
-  }
-
-  for (int s = 0; s < 2; ++s) {
-    crypto::HmacDrbg workload_rng("differential-kernel", 23);
-    crypto::HmacDrbg client_rng("differential-kernel-client", 23);
-    server::UntrustedServer* raw = sides[s].server.get();
-    std::vector<Bytes>* responses = &sides[s].responses;
-    client::Client client(
-        ToBytes("differential master"),
-        [raw, responses](const Bytes& request) {
-          Bytes response = raw->HandleRequest(request);
-          responses->push_back(response);
-          return response;
-        },
-        &client_rng);
-    Relation seed_table = SeedTable(&workload_rng, 25);
-    ASSERT_TRUE(client.Outsource(seed_table).ok());
-    auto oracle = baseline::PlainEngine::Create(seed_table);
-    ASSERT_TRUE(oracle.ok());
-    for (size_t step = 0; step < 80; ++step) {
-      RunStep(&workload_rng, &client, &*oracle, step);
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-    ExpectFullDomainMatch(&client, &*oracle,
-                          kernel[s] ? "kernel-on final" : "kernel-off final");
-    if (::testing::Test::HasFatalFailure()) return;
-  }
-
-  ASSERT_EQ(sides[0].responses.size(), sides[1].responses.size());
-  for (size_t i = 0; i < sides[0].responses.size(); ++i) {
-    ASSERT_EQ(sides[0].responses[i], sides[1].responses[i])
-        << "wire response " << i << " differs between kernel on and off";
-  }
-  const auto& on_log = sides[0].server->observations();
-  const auto& off_log = sides[1].server->observations();
-  ASSERT_EQ(on_log.queries().size(), off_log.queries().size());
-  for (size_t i = 0; i < on_log.queries().size(); ++i) {
-    EXPECT_EQ(on_log.queries()[i].relation, off_log.queries()[i].relation);
-    EXPECT_EQ(on_log.queries()[i].trapdoor_bytes,
-              off_log.queries()[i].trapdoor_bytes)
-        << "observation " << i;
-    EXPECT_EQ(on_log.queries()[i].matched_records,
-              off_log.queries()[i].matched_records)
-        << "observation " << i;
-  }
-}
-
 TEST(DifferentialTest, IntegrityEnforcedWorkloadStaysVerifiable) {
   // The PR-5 acceptance workload: the same seeded random mutation/select
   // stream, but with VerifyMode::kEnforce — every response's Merkle

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <set>
 
 #include "client/client.h"
 #include "crypto/random.h"
@@ -162,6 +163,67 @@ TEST(IntegrationTest, TwoClientsIndependentKeysCannotCrossQuery) {
   auto own = alice.Select("A", "v", Value::Str("secret"));
   ASSERT_TRUE(own.ok());
   EXPECT_EQ(own->size(), 1u);
+}
+
+TEST(IntegrationTest, RecordIdsNeverNameTwoDocuments) {
+  // The record ids in Eve's transcript identify ciphertexts: a deleted
+  // document's id must never come back for another document, neither
+  // within its relation nor after the relation is dropped and a new one
+  // is stored under the same name.
+  server::UntrustedServer eve;
+  crypto::HmacDrbg rng("integration-record-ids", 3);
+  client::Client alex(
+      core::GenerateMasterKey(&rng),
+      [&eve](const Bytes& request) { return eve.HandleRequest(request); },
+      &rng);
+  auto schema = Schema::Create({
+      {"name", ValueType::kString, 8},
+      {"grp", ValueType::kInt64, 10},
+  });
+  ASSERT_TRUE(schema.ok());
+  Relation table("R", *schema);
+  for (int64_t i = 0; i < 10; ++i) {
+    ASSERT_TRUE(
+        table.Insert({Value::Str("r" + std::to_string(i)), Value::Int(0)})
+            .ok());
+  }
+  ASSERT_TRUE(alex.Outsource(table).ok());
+
+  // The ids Eve logs for one select.
+  const auto select_ids = [&](const std::string& attribute,
+                              const Value& value) {
+    auto result = alex.Select("R", attribute, value);
+    EXPECT_TRUE(result.ok()) << result.status();
+    return eve.observations().queries().back().matched_records;
+  };
+  std::set<uint64_t> seen;
+  for (uint64_t id : select_ids("grp", Value::Int(0))) {
+    EXPECT_TRUE(seen.insert(id).second) << id;
+  }
+  ASSERT_EQ(seen.size(), 10u);
+
+  const auto expect_fresh_id = [&](const std::string& name) {
+    ASSERT_TRUE(alex.Insert("R", {Tuple{Value::Str(name), Value::Int(1)}})
+                    .ok());
+    std::vector<uint64_t> ids = select_ids("name", Value::Str(name));
+    ASSERT_EQ(ids.size(), 1u);
+    EXPECT_TRUE(seen.insert(ids[0]).second)
+        << name << " was given the already-used record id " << ids[0];
+    auto removed = alex.DeleteWhere("R", "name", Value::Str(name));
+    ASSERT_TRUE(removed.ok()) << removed.status();
+    EXPECT_EQ(*removed, 1u);
+  };
+  expect_fresh_id("alpha");
+  expect_fresh_id("beta");
+  expect_fresh_id("gamma");
+
+  ASSERT_TRUE(alex.Drop("R").ok());
+  ASSERT_TRUE(alex.Outsource(table).ok());
+  for (uint64_t id : select_ids("grp", Value::Int(0))) {
+    EXPECT_TRUE(seen.insert(id).second)
+        << "the re-stored relation reused record id " << id;
+  }
+  EXPECT_EQ(seen.size(), 23u);
 }
 
 }  // namespace

@@ -1,25 +1,26 @@
-// SnapshotChunk::Seal builds the contiguous scan-kernel arena with
-// 32-bit word refs; when a chunk's ciphertext would push an offset (or
-// the ref count) past the uint32 limit, Seal must ship the chunk with
-// arena_built = false and scans must take the per-document scalar path
-// with bit-identical results. Materializing 4 GiB to hit the real limit
-// is out of the question, so these tests lower the injectable cap
-// (SetArenaCapForTesting) to force every branch of the fallback and
-// assert scalar/kernel parity. RelationSnapshot::Scan is the server's
-// only trapdoor scan, so its results must also be independent of the
-// shard count and of whether a worker pool runs the shards.
+// Sealed chunks are the server's only copy of its documents. These tests
+// drive RelationSnapshot's chunk functions (AppendDocuments,
+// RemovePositions) directly and check the chunk store against a plain
+// vector model: row ids, the byte cap, chunk sharing across deletes, the
+// position/row-id maps, and RelationSnapshot::Scan (the server's one
+// trapdoor scan) against ScanReference, the scalar sweep kept as its
+// oracle, at every shard count with and without a worker pool.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/bytes.h"
+#include "crypto/prf.h"
 #include "crypto/random.h"
 #include "dbph/scheme.h"
 #include "server/runtime/thread_pool.h"
 #include "server/snapshot.h"
+#include "swp/scheme.h"
 #include "swp/search.h"
 
 namespace dbph {
@@ -30,19 +31,45 @@ using rel::Schema;
 using rel::Tuple;
 using rel::Value;
 using rel::ValueType;
+using server::kChunkBytes;
 using server::RelationSnapshot;
-using server::SnapshotChunk;
+using server::SealedChunk;
 using server::SnapshotMatch;
 
-constexpr uint64_t kDefaultArenaCap = 0xffffffffull;
+Bytes Serialized(const swp::EncryptedDocument& doc) {
+  Bytes out;
+  doc.AppendTo(&out);
+  return out;
+}
 
-/// Restores the production cap no matter how the test exits.
-struct ArenaCapGuard {
-  explicit ArenaCapGuard(uint64_t cap) {
-    SnapshotChunk::SetArenaCapForTesting(cap);
+/// Scan must equal ScanReference in positions, row ids, document bytes
+/// and status, at 1, 2, 7, n and 500 shards, inline and on a pool, and
+/// must evaluate every word slot exactly once.
+void ExpectScanMatchesReference(const RelationSnapshot& rel,
+                                const swp::Trapdoor& trapdoor,
+                                server::runtime::ThreadPool* pool) {
+  std::vector<SnapshotMatch> expected;
+  const Status reference = rel.ScanReference(trapdoor, &expected);
+  for (size_t num_shards : {size_t{1}, size_t{2}, size_t{7},
+                            std::max<size_t>(rel.num_docs, 1), size_t{500}}) {
+    EXPECT_LE(rel.ScanShardCount(num_shards), std::max<size_t>(rel.num_docs, 1));
+    for (server::runtime::ThreadPool* runner :
+         {static_cast<server::runtime::ThreadPool*>(nullptr), pool}) {
+      std::vector<SnapshotMatch> got;
+      uint64_t match_evals = 0;
+      const Status status =
+          rel.Scan(trapdoor, num_shards, runner, &got, &match_evals);
+      ASSERT_EQ(status.code(), reference.code()) << status;
+      EXPECT_EQ(match_evals, rel.word_slots) << num_shards << " shards";
+      ASSERT_EQ(got.size(), expected.size()) << num_shards << " shards";
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].position, expected[i].position);
+        EXPECT_EQ(got[i].row_id, expected[i].row_id);
+        EXPECT_EQ(Serialized(got[i].doc), Serialized(expected[i].doc));
+      }
+    }
   }
-  ~ArenaCapGuard() { SnapshotChunk::SetArenaCapForTesting(kDefaultArenaCap); }
-};
+}
 
 class SnapshotSealTest : public ::testing::Test {
  protected:
@@ -60,224 +87,275 @@ class SnapshotSealTest : public ::testing::Test {
 
     // 30 rows, grp cycling 0..2 — the grp=1 select matches the ten
     // positions congruent to 1 mod 3 (plus any SWP false positives,
-    // which both paths must report identically).
+    // which both scans must report identically).
     for (uint64_t i = 0; i < 30; ++i) {
       Tuple tuple({Value::Str("r" + std::to_string(i)),
                    Value::Int(static_cast<int64_t>(i % 3))});
       auto doc = ph_->EncryptTuple(tuple, &rng);
       ASSERT_TRUE(doc.ok()) << doc.status();
-      Bytes bytes;
-      doc->AppendTo(&bytes);
-      doc_bytes_.push_back(std::move(bytes));
+      docs_.push_back(std::move(*doc));
     }
 
     auto query = ph_->EncryptQuery("T", "grp", Value::Int(1));
     ASSERT_TRUE(query.ok()) << query.status();
     trapdoor_ = query->trapdoor;
-  }
 
-  /// Builds a snapshot over doc_bytes_ split into chunks of
-  /// `docs_per_chunk`, sealing each under the CURRENT arena cap.
-  std::shared_ptr<RelationSnapshot> BuildSnapshot(size_t docs_per_chunk) {
-    auto snapshot = std::make_shared<RelationSnapshot>();
-    snapshot->check_length = ph_->options().check_length;
-    snapshot->num_docs = doc_bytes_.size();
-    for (size_t first = 0; first < doc_bytes_.size();
-         first += docs_per_chunk) {
-      auto chunk = std::make_shared<SnapshotChunk>();
-      const size_t end = std::min(first + docs_per_chunk, doc_bytes_.size());
-      for (size_t i = first; i < end; ++i) {
-        chunk->docs.push_back({/*rid_packed=*/i + 1, doc_bytes_[i]});
-      }
-      chunk->Seal();
-      snapshot->chunk_first.push_back(first);
-      snapshot->chunks.push_back(std::move(chunk));
-    }
-    return snapshot;
-  }
-
-  /// Runs the sharded scan and returns (position, rid) pairs in order.
-  /// A null pool runs the shards inline, one after another.
-  std::vector<std::pair<uint64_t, uint64_t>> ScanMatches(
-      const RelationSnapshot& snapshot, size_t num_shards,
-      server::runtime::ThreadPool* pool = nullptr) {
-    std::vector<SnapshotMatch> matches;
-    Status status = snapshot.Scan(trapdoor_, num_shards, pool, &matches);
-    EXPECT_TRUE(status.ok()) << status;
-    std::vector<std::pair<uint64_t, uint64_t>> out;
-    for (const SnapshotMatch& match : matches) {
-      out.emplace_back(match.position, match.rid_packed);
-    }
-    return out;
+    snapshot_.check_length = ph_->options().check_length;
+    uint64_t next_row_id = 100;
+    ASSERT_TRUE(snapshot_.AppendDocuments(docs_, &next_row_id).ok());
+    ASSERT_EQ(next_row_id, 130u);
   }
 
   std::unique_ptr<DatabasePh> ph_;
   Bytes master_;
-  std::vector<Bytes> doc_bytes_;
+  std::vector<swp::EncryptedDocument> docs_;
   swp::Trapdoor trapdoor_;
+  RelationSnapshot snapshot_;
 };
 
-TEST_F(SnapshotSealTest, DefaultCapBuildsArenasAndFindsEveryMatch) {
-  auto snapshot = BuildSnapshot(/*docs_per_chunk=*/7);
-  for (const auto& chunk : snapshot->chunks) {
-    EXPECT_TRUE(chunk->arena_built);
-    EXPECT_EQ(chunk->word_first.size(), chunk->docs.size() + 1);
-  }
-  auto matches = ScanMatches(*snapshot, /*num_shards=*/3);
+TEST_F(SnapshotSealTest, ScanFindsEveryMatchWithItsRowId) {
+  std::vector<SnapshotMatch> matches;
+  ASSERT_TRUE(snapshot_.Scan(trapdoor_, 3, nullptr, &matches).ok());
   // Every true match must be present (SWP guarantees no false
   // negatives); extras can only be false positives.
   size_t found = 0;
-  for (uint64_t i = 1; i < doc_bytes_.size(); i += 3) {
+  for (uint64_t i = 1; i < docs_.size(); i += 3) {
     bool present = false;
-    for (const auto& [position, rid] : matches) {
-      if (position == i) {
-        EXPECT_EQ(rid, i + 1);
+    for (const SnapshotMatch& match : matches) {
+      if (match.position == i) {
+        EXPECT_EQ(match.row_id, 100 + i);
+        EXPECT_EQ(Serialized(match.doc), Serialized(docs_[i]));
         present = true;
       }
     }
     EXPECT_TRUE(present) << "position " << i;
     if (present) ++found;
   }
-  EXPECT_EQ(found, doc_bytes_.size() / 3);
+  EXPECT_EQ(found, docs_.size() / 3);
 }
 
 TEST_F(SnapshotSealTest, AnyShardCountAndPoolReproducesTheOneShardScan) {
   // One inline shard is by construction the sequential scan; every other
   // fan-out (including more shards than documents, which ScanShardCount
   // clamps) and a real worker pool must return the same matches and
-  // document bytes, in storage order, on both match paths.
+  // document bytes, in storage order.
   server::runtime::ThreadPool pool(2);
-  for (bool kernel : {true, false}) {
-    auto snapshot = BuildSnapshot(/*docs_per_chunk=*/7);
-    snapshot->use_scan_kernel = kernel;
-    std::vector<SnapshotMatch> expected;
-    ASSERT_TRUE(snapshot->Scan(trapdoor_, 1, nullptr, &expected).ok());
-    ASSERT_FALSE(expected.empty());
-    for (size_t num_shards : {2u, 3u, 7u, 30u, 500u}) {
-      EXPECT_LE(snapshot->ScanShardCount(num_shards), doc_bytes_.size());
-      for (server::runtime::ThreadPool* runner :
-           {static_cast<server::runtime::ThreadPool*>(nullptr), &pool}) {
-        std::vector<SnapshotMatch> got;
-        ASSERT_TRUE(snapshot->Scan(trapdoor_, num_shards, runner, &got).ok());
-        ASSERT_EQ(got.size(), expected.size())
-            << num_shards << " shards, kernel " << kernel;
-        for (size_t i = 0; i < got.size(); ++i) {
-          EXPECT_EQ(got[i].position, expected[i].position);
-          EXPECT_EQ(got[i].rid_packed, expected[i].rid_packed);
-          Bytes a, b;
-          got[i].doc.AppendTo(&a);
-          expected[i].doc.AppendTo(&b);
-          EXPECT_EQ(a, b);
-        }
+  std::vector<SnapshotMatch> expected;
+  ASSERT_TRUE(snapshot_.Scan(trapdoor_, 1, nullptr, &expected).ok());
+  ASSERT_FALSE(expected.empty());
+  for (size_t num_shards : {2u, 3u, 7u, 30u, 500u}) {
+    EXPECT_LE(snapshot_.ScanShardCount(num_shards), docs_.size());
+    for (server::runtime::ThreadPool* runner :
+         {static_cast<server::runtime::ThreadPool*>(nullptr), &pool}) {
+      std::vector<SnapshotMatch> got;
+      ASSERT_TRUE(snapshot_.Scan(trapdoor_, num_shards, runner, &got).ok());
+      ASSERT_EQ(got.size(), expected.size()) << num_shards << " shards";
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].position, expected[i].position);
+        EXPECT_EQ(got[i].row_id, expected[i].row_id);
+        EXPECT_EQ(Serialized(got[i].doc), Serialized(expected[i].doc));
       }
     }
   }
+  ExpectScanMatchesReference(snapshot_, trapdoor_, &pool);
 }
 
-TEST_F(SnapshotSealTest, TinyCapForcesScalarFallbackWithIdenticalResults) {
-  auto kernel_snapshot = BuildSnapshot(/*docs_per_chunk=*/7);
-  std::vector<std::pair<uint64_t, uint64_t>> kernel_matches =
-      ScanMatches(*kernel_snapshot, /*num_shards=*/3);
-
-  std::shared_ptr<RelationSnapshot> fallback_snapshot;
-  {
-    // Far below one document's word bytes: the very first ref overflows,
-    // so every chunk ships arena-less.
-    ArenaCapGuard guard(/*cap=*/4);
-    fallback_snapshot = BuildSnapshot(/*docs_per_chunk=*/7);
+/// Deterministic xorshift stream so failures reproduce.
+class TestRng {
+ public:
+  explicit TestRng(uint64_t seed) : state_(seed | 1) {}
+  uint64_t Next() {
+    state_ ^= state_ << 13;
+    state_ ^= state_ >> 7;
+    state_ ^= state_ << 17;
+    return state_;
   }
-  for (const auto& chunk : fallback_snapshot->chunks) {
-    EXPECT_FALSE(chunk->arena_built);
-    EXPECT_TRUE(chunk->word_arena.empty());
-    EXPECT_TRUE(chunk->word_refs.empty());
-    EXPECT_TRUE(chunk->word_first.empty());
-    // The rid lookup side of Seal is unaffected by the overflow.
-    EXPECT_EQ(chunk->pos_in_chunk.size(), chunk->docs.size());
+  uint64_t Below(uint64_t n) { return Next() % n; }
+  Bytes NextBytes(size_t n) {
+    Bytes out(n);
+    for (auto& b : out) b = static_cast<uint8_t>(Next());
+    return out;
   }
-  for (size_t num_shards : {1u, 3u, 8u}) {
-    EXPECT_EQ(ScanMatches(*fallback_snapshot, num_shards), kernel_matches)
-        << "num_shards=" << num_shards;
-  }
-}
 
-TEST_F(SnapshotSealTest, MidBuildOverflowDiscardsThePartialArena) {
-  // Cap sized so the first documents fit and a later ref crosses the
-  // limit mid-build: the partially filled arena must be discarded, not
-  // shipped half-complete.
-  auto reference = BuildSnapshot(/*docs_per_chunk=*/30);
-  ASSERT_EQ(reference->chunks.size(), 1u);
-  ASSERT_TRUE(reference->chunks[0]->arena_built);
-  const uint64_t full_arena = reference->chunks[0]->word_arena.size();
-  ASSERT_GT(full_arena, 16u);
+ private:
+  uint64_t state_;
+};
 
-  std::shared_ptr<RelationSnapshot> snapshot;
-  {
-    ArenaCapGuard guard(/*cap=*/full_arena / 2);
-    snapshot = BuildSnapshot(/*docs_per_chunk=*/30);
-  }
-  ASSERT_EQ(snapshot->chunks.size(), 1u);
-  EXPECT_FALSE(snapshot->chunks[0]->arena_built);
-  EXPECT_TRUE(snapshot->chunks[0]->word_arena.empty());
-  EXPECT_TRUE(snapshot->chunks[0]->word_refs.empty());
-  EXPECT_EQ(ScanMatches(*snapshot, /*num_shards=*/2),
-            ScanMatches(*reference, /*num_shards=*/2));
-}
+/// One stored row of the vector model.
+struct ModelRow {
+  uint64_t row_id = 0;
+  Bytes bytes;
+  size_t words = 0;
+};
 
-TEST_F(SnapshotSealTest, MixedArenaAndFallbackChunksScanConsistently) {
-  // One relation, three chunks, the middle one sealed over the cap: the
-  // kernel sweep must drop to the scalar path for exactly that chunk and
-  // the combined result must match an all-kernel snapshot. This is the
-  // shape a real overflow produces — old chunks keep their arenas, the
-  // oversized newcomer scans scalar.
-  auto reference = BuildSnapshot(/*docs_per_chunk=*/10);
-  ASSERT_EQ(reference->chunks.size(), 3u);
-
-  auto mixed = std::make_shared<RelationSnapshot>();
-  mixed->check_length = ph_->options().check_length;
-  mixed->num_docs = doc_bytes_.size();
-  for (size_t c = 0; c < 3; ++c) {
-    auto chunk = std::make_shared<SnapshotChunk>();
-    for (size_t i = c * 10; i < (c + 1) * 10; ++i) {
-      chunk->docs.push_back({/*rid_packed=*/i + 1, doc_bytes_[i]});
+/// Every structural property of the chunk store, against the model.
+void ExpectMatchesModel(const RelationSnapshot& rel,
+                        const std::vector<ModelRow>& model,
+                        const std::set<uint64_t>& deleted,
+                        uint64_t next_row_id) {
+  ASSERT_EQ(rel.num_docs, model.size());
+  ASSERT_EQ(rel.chunk_first.size(), rel.chunks.size());
+  uint64_t position = 0;
+  uint64_t word_slots = 0;
+  for (size_t c = 0; c < rel.chunks.size(); ++c) {
+    const SealedChunk& chunk = *rel.chunks[c];
+    ASSERT_GT(chunk.size(), 0u) << "empty chunk " << c;
+    EXPECT_EQ(rel.chunk_first[c], position);
+    EXPECT_TRUE(chunk.bytes.size() <= kChunkBytes || chunk.size() == 1)
+        << "chunk " << c << " holds " << chunk.size() << " documents in "
+        << chunk.bytes.size() << " bytes";
+    ASSERT_EQ(chunk.doc_begin.size(), chunk.size() + 1);
+    ASSERT_EQ(chunk.word_first.size(), chunk.size() + 1);
+    EXPECT_EQ(chunk.doc_begin.back(), chunk.bytes.size());
+    EXPECT_EQ(chunk.word_first.back(), chunk.word_refs.size());
+    for (size_t d = 0; d < chunk.size(); ++d, ++position) {
+      const ModelRow& row = model[position];
+      const std::span<const uint8_t> doc = rel.doc(position);
+      EXPECT_EQ(Bytes(doc.begin(), doc.end()), row.bytes) << position;
+      EXPECT_EQ(rel.row_id(position), row.row_id);
+      EXPECT_EQ(rel.PositionOf(row.row_id), position);
+      if (position > 0) {
+        EXPECT_GT(row.row_id, model[position - 1].row_id);
+      }
+      // The word refs point at exactly the parsed document's words.
+      auto parsed = rel.ParseDoc(position);
+      ASSERT_TRUE(parsed.ok()) << parsed.status();
+      ASSERT_EQ(chunk.word_first[d + 1] - chunk.word_first[d],
+                parsed->words.size());
+      for (size_t w = 0; w < parsed->words.size(); ++w) {
+        const swp::WordRef& ref = chunk.word_refs[chunk.word_first[d] + w];
+        EXPECT_EQ(Bytes(chunk.bytes.begin() + ref.offset,
+                        chunk.bytes.begin() + ref.offset + ref.length),
+                  parsed->words[w]);
+      }
+      word_slots += row.words;
     }
-    if (c == 1) {
-      ArenaCapGuard guard(/*cap=*/4);
-      chunk->Seal();
-      EXPECT_FALSE(chunk->arena_built);
+  }
+  EXPECT_EQ(rel.word_slots, word_slots);
+  for (uint64_t row_id : deleted) {
+    EXPECT_EQ(rel.PositionOf(row_id), RelationSnapshot::kNotFound) << row_id;
+  }
+  EXPECT_EQ(rel.PositionOf(next_row_id), RelationSnapshot::kNotFound);
+}
+
+TEST(ChunkStorePropertyTest, RandomAppendsAndDeletesMatchAVectorModel) {
+  // Large SWP words (every one the trapdoors' length, so each slot is one
+  // PRF evaluation) reach layouts of many chunks with few documents, and
+  // an occasional document larger than kChunkBytes gets a chunk alone.
+  swp::SwpParams params;
+  params.word_length = 600;
+  params.check_length = 4;
+  auto scheme = swp::CreateScheme(swp::SchemeVariant::kFinal, params,
+                                  ToBytes("chunk property master"));
+  ASSERT_TRUE(scheme.ok()) << scheme.status();
+  TestRng rng(0x5eed);
+  std::vector<Bytes> vocabulary;
+  std::vector<swp::Trapdoor> trapdoors;
+  for (int i = 0; i < 3; ++i) {
+    vocabulary.push_back(rng.NextBytes(params.word_length));
+    auto trapdoor = (*scheme)->MakeTrapdoor(vocabulary.back());
+    ASSERT_TRUE(trapdoor.ok()) << trapdoor.status();
+    trapdoors.push_back(std::move(*trapdoor));
+  }
+  const size_t oversized_words = kChunkBytes / params.word_length + 2;
+  const auto make_doc = [&](size_t num_words) {
+    swp::EncryptedDocument doc;
+    doc.nonce = rng.NextBytes(16);
+    crypto::StreamGenerator stream(ToBytes("chunk property stream"),
+                                   doc.nonce);
+    for (size_t w = 0; w < num_words; ++w) {
+      auto word = (*scheme)->EncryptWord(
+          stream, w, vocabulary[rng.Below(vocabulary.size())]);
+      EXPECT_TRUE(word.ok()) << word.status();
+      doc.words.push_back(std::move(*word));
+    }
+    doc.tag = rng.NextBytes(32);
+    return doc;
+  };
+
+  RelationSnapshot rel;
+  rel.check_length = static_cast<uint32_t>(params.check_length);
+  std::vector<ModelRow> model;
+  std::set<uint64_t> deleted;
+  uint64_t next_row_id = 7;
+  uint64_t issued_below = next_row_id;
+  server::runtime::ThreadPool pool(2);
+  size_t max_chunks = 0;
+  bool saw_oversized = false;
+
+  for (int step = 0; step < 36; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    if (model.empty() || rng.Below(3) != 0) {
+      std::vector<swp::EncryptedDocument> docs;
+      const size_t count = 1 + rng.Below(10);
+      for (size_t i = 0; i < count; ++i) {
+        docs.push_back(make_doc(rng.Below(12) == 0 ? oversized_words
+                                                   : 1 + rng.Below(6)));
+      }
+      const uint64_t first = next_row_id;
+      ASSERT_TRUE(rel.AppendDocuments(docs, &next_row_id).ok());
+      ASSERT_EQ(next_row_id, first + docs.size());
+      // Row ids rise and are never reused: each append starts above
+      // every id issued before it.
+      EXPECT_GE(first, issued_below);
+      issued_below = next_row_id;
+      for (size_t i = 0; i < docs.size(); ++i) {
+        model.push_back({first + i, Serialized(docs[i]), docs[i].words.size()});
+        saw_oversized = saw_oversized || docs[i].words.size() == oversized_words;
+      }
     } else {
-      chunk->Seal();
-      EXPECT_TRUE(chunk->arena_built);
+      // Delete a random subset, sometimes with every row of one chunk.
+      std::vector<uint8_t> doomed(model.size(), 0);
+      for (size_t pos = 0; pos < model.size(); ++pos) {
+        doomed[pos] = rng.Below(4) == 0;
+      }
+      if (rng.Below(2) == 0) {
+        const size_t c = rng.Below(rel.chunks.size());
+        for (size_t d = 0; d < rel.chunks[c]->size(); ++d) {
+          doomed[rel.chunk_first[c] + d] = 1;
+        }
+      }
+      std::vector<uint64_t> positions;
+      for (size_t pos = 0; pos < model.size(); ++pos) {
+        if (doomed[pos]) positions.push_back(pos);
+      }
+      const RelationSnapshot before = rel;
+      rel.RemovePositions(positions);
+      // Chunks that lost no row are shared (same pointer); chunks that
+      // lost rows are rebuilt or, when emptied, dropped.
+      for (size_t c = 0; c < before.chunks.size(); ++c) {
+        bool touched = false;
+        for (size_t d = 0; d < before.chunks[c]->size(); ++d) {
+          touched = touched || doomed[before.chunk_first[c] + d];
+        }
+        const bool kept = std::find(rel.chunks.begin(), rel.chunks.end(),
+                                    before.chunks[c]) != rel.chunks.end();
+        EXPECT_EQ(kept, !touched) << "chunk " << c;
+      }
+      std::vector<ModelRow> survivors;
+      for (size_t pos = 0; pos < model.size(); ++pos) {
+        if (doomed[pos]) {
+          deleted.insert(model[pos].row_id);
+        } else {
+          survivors.push_back(std::move(model[pos]));
+        }
+      }
+      model = std::move(survivors);
     }
-    mixed->chunk_first.push_back(c * 10);
-    mixed->chunks.push_back(std::move(chunk));
+    ExpectMatchesModel(rel, model, deleted, next_row_id);
+    if (::testing::Test::HasFatalFailure()) return;
+    max_chunks = std::max(max_chunks, rel.chunks.size());
+    if (step % 3 == 2) {
+      for (const swp::Trapdoor& trapdoor : trapdoors) {
+        ExpectScanMatchesReference(rel, trapdoor, &pool);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
   }
-  for (size_t num_shards : {1u, 2u, 5u}) {
-    EXPECT_EQ(ScanMatches(*mixed, num_shards),
-              ScanMatches(*reference, num_shards))
-        << "num_shards=" << num_shards;
-  }
-}
-
-TEST_F(SnapshotSealTest, FallbackPreservesParseErrorsExactly) {
-  // A corrupted document must surface the same parse failure through the
-  // scalar fallback as through the kernel path's wellformed gate.
-  doc_bytes_[4] = ToBytes("not a document");
-  auto kernel_snapshot = BuildSnapshot(/*docs_per_chunk=*/30);
-  std::shared_ptr<RelationSnapshot> fallback_snapshot;
-  {
-    ArenaCapGuard guard(/*cap=*/4);
-    fallback_snapshot = BuildSnapshot(/*docs_per_chunk=*/30);
-  }
-  std::vector<SnapshotMatch> kernel_matches;
-  Status kernel_status = kernel_snapshot->Scan(trapdoor_, 1, nullptr,
-                                               &kernel_matches);
-  std::vector<SnapshotMatch> fallback_matches;
-  Status fallback_status = fallback_snapshot->Scan(trapdoor_, 1, nullptr,
-                                                   &fallback_matches);
-  EXPECT_FALSE(kernel_status.ok());
-  EXPECT_FALSE(fallback_status.ok());
-  EXPECT_EQ(kernel_status.code(), fallback_status.code());
-  EXPECT_EQ(kernel_status.message(), fallback_status.message());
+  // The walk reached the layouts it exists to check.
+  EXPECT_GE(max_chunks, 4u);
+  EXPECT_TRUE(saw_oversized);
+  EXPECT_FALSE(deleted.empty());
 }
 
 }  // namespace

@@ -157,7 +157,6 @@ const char kUsage[] =
     "  --persist=DIR           continuous durability (WAL + snapshots)\n"
     "  --fsync=always|batch    WAL sync policy (with --persist)\n"
     "  --index=on|off          trapdoor posting-list index (default on)\n"
-    "  --scan-kernel=on|off    batched HMAC scan kernel (default on)\n"
     "  --index-capacity=N      memoized trapdoors per relation\n"
     "  --index-append-budget=N index maintenance budget per append\n"
     "  --integrity=on|off      Merkle result proofs (default on)\n"
@@ -181,7 +180,6 @@ int main(int argc, char** argv) {
   std::string persist_dir;
   std::string fsync_mode;
   std::string index_mode;
-  std::string scan_kernel_mode;
   std::string integrity_mode;
   std::string observation_mode;
   std::string metrics_mode;
@@ -232,7 +230,6 @@ int main(int argc, char** argv) {
         ParseStringFlag(argv[i], "--bind=", &net_options.bind_address) ||
         ParseStringFlag(argv[i], "--fsync=", &fsync_mode) ||
         ParseStringFlag(argv[i], "--index=", &index_mode) ||
-        ParseStringFlag(argv[i], "--scan-kernel=", &scan_kernel_mode) ||
         ParseStringFlag(argv[i], "--integrity=", &integrity_mode) ||
         ParseStringFlag(argv[i], "--observation=", &observation_mode) ||
         ParseStringFlag(argv[i], "--persist=", &persist_dir)) {
@@ -268,13 +265,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   runtime_options.enable_trapdoor_index = index_mode == "on";
-  if (scan_kernel_mode.empty()) scan_kernel_mode = "on";
-  if (scan_kernel_mode != "on" && scan_kernel_mode != "off") {
-    std::fprintf(stderr, "--scan-kernel must be 'on' or 'off', got '%s'\n",
-                 scan_kernel_mode.c_str());
-    return 2;
-  }
-  runtime_options.enable_scan_kernel = scan_kernel_mode == "on";
   if (integrity_mode.empty()) integrity_mode = "on";
   if (integrity_mode != "on" && integrity_mode != "off") {
     std::fprintf(stderr, "--integrity must be 'on' or 'off', got '%s'\n",
