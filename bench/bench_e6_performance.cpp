@@ -763,7 +763,7 @@ int RunScanBench(const ParallelBenchConfig& config) {
     Stopwatch kernel_timer;
     for (size_t i = 0; i < config.repeats; ++i) {
       kernel.clear();
-      if (!rel.Scan(trapdoor, shards, &pool, &kernel, &kernel_evals).ok()) {
+      if (!rel.Scan(trapdoor, 0, shards, &pool, &kernel, &kernel_evals).ok()) {
         return 1;
       }
     }

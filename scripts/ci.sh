@@ -344,7 +344,9 @@ bash bench_workloads/run.sh --smoke > /dev/null
 # endpoint, drive real queries through the SQL REPL, scrape /metrics,
 # and (a) assert one series from every instrumented layer is present,
 # (b) fail if the daemon exports any dbph_* name that is not documented
-# in docs/OPERATIONS.md — new instruments must land with their docs.
+# in docs/OPERATIONS.md — new instruments must land with their docs —
+# and (c) fail if a metric row there names a series the scrape does not
+# export — removed instruments must take their rows with them.
 METRICS_DIR="$(mktemp -d)"
 "$BUILD_DIR/dbph_serverd" --port=17692 --bind=127.0.0.1 \
   --metrics-port=17693 --persist="$METRICS_DIR" --fsync=always &
@@ -376,6 +378,8 @@ for series in dbph_requests_total dbph_select_seconds_bucket \
     || { echo "metrics smoke: $series missing from scrape" >&2; exit 1; }
 done
 DRIFT=0
+EXPORTED="$(grep -oE '^dbph_[a-z_]+' "$SCRAPE" \
+              | sed -E 's/_(bucket|sum|count)$//' | sort -u)"
 while IFS= read -r name; do
   # Per-op counters are a documented family, not individual rows.
   doc_name="$(echo "$name" \
@@ -384,8 +388,20 @@ while IFS= read -r name; do
     echo "metrics drift: $name exported but not in docs/OPERATIONS.md" >&2
     DRIFT=1
   fi
-done < <(grep -oE '^dbph_[a-z_]+' "$SCRAPE" \
-           | sed -E 's/_(bucket|sum|count)$//' | sort -u)
+done <<< "$EXPORTED"
+# The other direction: every name in the first cell of a `| `dbph_…` row
+# must be exported; the dbph_op_<op>_total row stands for the family.
+while IFS= read -r name; do
+  if [ "$name" = "dbph_op_<op>_total" ]; then
+    grep -qE '^dbph_op_[a-z]+_total$' <<< "$EXPORTED" && continue
+  elif grep -qx -- "$name" <<< "$EXPORTED"; then
+    continue
+  fi
+  echo "metrics drift: docs/OPERATIONS.md documents $name," \
+    "which the daemon does not export" >&2
+  DRIFT=1
+done < <(grep -E '^\| `dbph_' docs/OPERATIONS.md | cut -d'|' -f2 \
+           | grep -oE '`dbph_[a-z_<>]+`' | tr -d '`' | sort -u)
 [ "$DRIFT" = "0" ]
 rm -rf "$METRICS_DIR"
 echo "metrics smoke + drift check OK"

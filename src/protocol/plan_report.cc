@@ -46,7 +46,12 @@ std::string PlanReport::ToString() const {
   std::ostringstream out;
   if (access_path == PlanAccessPath::kIndexLookup) {
     out << "IndexLookup on " << relation << "  (trapdoor posting list: "
-        << posting_size << " of " << num_records << " documents fetched)";
+        << posting_size << " of " << num_records << " documents fetched";
+    if (match_evals > 0) {
+      out << ", " << match_evals
+          << " PRF evaluation(s) on the rows stored since";
+    }
+    out << (will_memoize ? ", result will be memoized" : "") << ")";
   } else {
     out << "FullScan on " << relation << "  (" << num_records
         << " documents across " << num_shards << " shard(s), " << match_evals

@@ -10,17 +10,18 @@ namespace dbph {
 namespace protocol {
 
 /// Which access path a select takes on the server: a full trapdoor scan,
-/// or the posting list the trapdoor index memoized from an earlier one.
+/// or the answer the trapdoor memo kept from an earlier select.
 enum class PlanAccessPath : uint8_t {
   kFullScan = 0,      ///< sharded trapdoor scan over every stored document
-  kIndexLookup = 1,   ///< trapdoor posting-list hit: fetch matched ids only
+  kIndexLookup = 1,   ///< memo hit: fetch the memoized rows still stored,
+                      ///< scan only the rows stored since
 };
 
 /// \brief The payload of a kExplainResult envelope: how the server would
 /// execute a select right now, without executing it.
 ///
 /// Everything in here is derived from data Eve already holds (her
-/// ciphertext, her memoized posting lists, her shard configuration), so
+/// ciphertext, the answers she memoized, her shard configuration), so
 /// reporting it to the client reveals nothing the client's own query
 /// history did not already determine.
 struct PlanReport {
@@ -28,21 +29,23 @@ struct PlanReport {
   PlanAccessPath access_path = PlanAccessPath::kFullScan;
   /// Documents a full scan of this relation touches.
   uint32_t num_records = 0;
-  /// Documents the index path fetches (posting-list size); only
-  /// meaningful when access_path == kIndexLookup.
+  /// Memoized rows the index path fetches (the entry's rows still
+  /// stored); only meaningful when access_path == kIndexLookup.
   uint32_t posting_size = 0;
   /// Shards a full scan splits into.
   uint32_t num_shards = 0;
-  /// True when executing this plan would seed the trapdoor index (a scan
-  /// whose result the server will memoize).
+  /// True when executing this plan would memoize its answer: a scan of
+  /// a trapdoor the memo has room for, or a hit whose entry is stale (it
+  /// scans rows stored since, or lists rows deleted since).
   bool will_memoize = false;
   /// False when the server runs with the trapdoor index disabled.
   bool index_enabled = false;
   /// Trapdoors currently memoized for this relation.
   uint32_t indexed_trapdoors = 0;
   /// PRF evaluations executing this plan performs: the relation's total
-  /// stored word slots on the scan path (every slot matched once), 0 on
-  /// the index path (posting fetches evaluate nothing).
+  /// stored word slots on the scan path (every slot matched once); on the
+  /// index path the word slots of the rows stored since the entry was
+  /// memoized (0 when it is fresh).
   uint64_t match_evals = 0;
 
   void AppendTo(Bytes* out) const;

@@ -66,22 +66,94 @@ Result<swp::EncryptedDocument> ParseSpan(std::span<const uint8_t> bytes) {
 
 }  // namespace
 
+std::vector<std::shared_ptr<const TrapdoorIndex::Entry>>::const_iterator
+TrapdoorIndex::LowerBound(const Bytes& trapdoor_bytes) const {
+  return std::lower_bound(entries_.begin(), entries_.end(), trapdoor_bytes,
+                          [](const auto& e, const Bytes& key) {
+                            return e->trapdoor_bytes < key;
+                          });
+}
+
+const TrapdoorIndex::Entry* TrapdoorIndex::Find(
+    const Bytes& trapdoor_bytes) const {
+  auto it = LowerBound(trapdoor_bytes);
+  if (it == entries_.end() || (*it)->trapdoor_bytes != trapdoor_bytes) {
+    return nullptr;
+  }
+  return it->get();
+}
+
+std::shared_ptr<const TrapdoorIndex> TrapdoorIndex::With(
+    std::shared_ptr<const Entry> entry) const {
+  auto it = LowerBound(entry->trapdoor_bytes);
+  const bool held =
+      it != entries_.end() && (*it)->trapdoor_bytes == entry->trapdoor_bytes;
+  if (held) {
+    // Both answers are exact; keep the one a hit does less work with. The
+    // order is strict, so racing refreshes cannot undo each other.
+    const Entry& old = **it;
+    if (entry->watermark < old.watermark ||
+        (entry->watermark == old.watermark &&
+         entry->row_ids.size() >= old.row_ids.size())) {
+      return nullptr;
+    }
+  } else if (AtCapacity()) {
+    return nullptr;
+  }
+  auto next = std::make_shared<TrapdoorIndex>(max_trapdoors_);
+  next->memoized_ = memoized_ + 1;
+  next->num_postings_ = num_postings_ + entry->row_ids.size();
+  next->entries_.reserve(entries_.size() + (held ? 0 : 1));
+  next->entries_.insert(next->entries_.end(), entries_.begin(), it);
+  if (held) {
+    next->num_postings_ -= (*it)->row_ids.size();
+    ++it;
+  }
+  next->entries_.push_back(std::move(entry));
+  next->entries_.insert(next->entries_.end(), it, entries_.end());
+  return next;
+}
+
 size_t RelationSnapshot::ChunkAt(uint64_t position) const {
   return static_cast<size_t>(
       std::upper_bound(chunk_first.begin(), chunk_first.end(), position) -
       chunk_first.begin() - 1);
 }
 
-uint64_t RelationSnapshot::PositionOf(uint64_t row_id) const {
+std::pair<size_t, size_t> RelationSnapshot::Locate(uint64_t row_id) const {
   // Row ids ascend in storage order across the whole relation.
   auto chunk = std::partition_point(
       chunks.begin(), chunks.end(),
       [row_id](const auto& c) { return c->row_ids.back() < row_id; });
-  if (chunk == chunks.end()) return kNotFound;
+  if (chunk == chunks.end()) return {chunks.size(), 0};
   const std::vector<uint64_t>& ids = (*chunk)->row_ids;
-  auto hit = std::lower_bound(ids.begin(), ids.end(), row_id);
-  if (*hit != row_id) return kNotFound;
-  return chunk_first[chunk - chunks.begin()] + (hit - ids.begin());
+  const auto first = std::lower_bound(ids.begin(), ids.end(), row_id);
+  return {static_cast<size_t>(chunk - chunks.begin()),
+          static_cast<size_t>(first - ids.begin())};
+}
+
+uint64_t RelationSnapshot::PositionOf(uint64_t row_id) const {
+  const auto [c, d] = Locate(row_id);
+  if (c == chunks.size() || chunks[c]->row_ids[d] != row_id) return kNotFound;
+  return chunk_first[c] + d;
+}
+
+uint64_t RelationSnapshot::Watermark() const {
+  return chunks.empty() ? 0 : chunks.back()->row_ids.back() + 1;
+}
+
+uint64_t RelationSnapshot::LiveRows(const TrapdoorIndex::Entry& entry) const {
+  uint64_t live = 0;
+  for (uint64_t row : entry.row_ids) live += PositionOf(row) != kNotFound;
+  return live;
+}
+
+uint64_t RelationSnapshot::WordSlotsFrom(uint64_t row_id) const {
+  auto [c, d] = Locate(row_id);
+  if (c == chunks.size()) return 0;
+  uint64_t slots = chunks[c]->word_refs.size() - chunks[c]->word_first[d];
+  while (++c < chunks.size()) slots += chunks[c]->word_refs.size();
+  return slots;
 }
 
 std::span<const uint8_t> RelationSnapshot::doc(uint64_t position) const {
@@ -99,40 +171,24 @@ Result<swp::EncryptedDocument> RelationSnapshot::ParseDoc(
   return ParseSpan(doc(position));
 }
 
-Status RelationSnapshot::FetchPostings(const std::vector<uint64_t>& postings,
-                                       std::vector<SnapshotMatch>* out) const {
-  out->reserve(postings.size());
-  for (uint64_t row : postings) {
-    uint64_t position = PositionOf(row);
-    if (position == kNotFound) {
-      // Unreachable by construction: the index and the chunks belong to
-      // the same state. Fail closed.
-      return Status::NotFound("record not found");
-    }
-    DBPH_ASSIGN_OR_RETURN(swp::EncryptedDocument parsed, ParseDoc(position));
-    out->push_back({position, row, std::move(parsed)});
-  }
-  return Status::OK();
-}
-
 size_t RelationSnapshot::ScanShardCount(size_t num_shards) const {
   return std::min(std::max<size_t>(num_shards, 1),
                   std::max<size_t>(num_docs, 1));
 }
 
-Status RelationSnapshot::Scan(const swp::Trapdoor& trapdoor, size_t num_shards,
-                              runtime::ThreadPool* pool,
+Status RelationSnapshot::Scan(const swp::Trapdoor& trapdoor, uint64_t first,
+                              size_t num_shards, runtime::ThreadPool* pool,
                               std::vector<SnapshotMatch>* out,
                               uint64_t* match_evals) const {
   // Balanced contiguous split: the first (n % num_shards) shards get one
   // extra document, and shard order is storage order.
-  const size_t n = num_docs;
-  num_shards = ScanShardCount(num_shards);
+  const size_t n = num_docs - first;
+  num_shards = std::min(ScanShardCount(num_shards), std::max<size_t>(n, 1));
   const size_t base = n / num_shards;
   const size_t extra = n % num_shards;
   std::vector<std::pair<size_t, size_t>> ranges;
   ranges.reserve(num_shards);
-  size_t begin = 0;
+  size_t begin = first;
   for (size_t i = 0; i < num_shards; ++i) {
     size_t len = base + (i < extra ? 1 : 0);
     ranges.emplace_back(begin, begin + len);
@@ -205,6 +261,56 @@ Status RelationSnapshot::Scan(const swp::Trapdoor& trapdoor, size_t num_shards,
     for (auto& match : matches) out->push_back(std::move(match));
   }
   return Status::OK();
+}
+
+Status RelationSnapshot::ScanFromMemo(const TrapdoorIndex::Entry& entry,
+                                      const swp::Trapdoor& trapdoor,
+                                      size_t num_shards,
+                                      runtime::ThreadPool* pool,
+                                      std::vector<SnapshotMatch>* out,
+                                      uint64_t* match_evals,
+                                      bool* refresh) const {
+  out->reserve(out->size() + entry.row_ids.size());
+  bool dropped = false;
+  for (uint64_t row : entry.row_ids) {
+    const uint64_t position = PositionOf(row);
+    if (position == kNotFound) {  // deleted since the entry was memoized
+      dropped = true;
+      continue;
+    }
+    DBPH_ASSIGN_OR_RETURN(swp::EncryptedDocument parsed, ParseDoc(position));
+    out->push_back({position, row, std::move(parsed)});
+  }
+  const auto [c, d] = Locate(entry.watermark);
+  const uint64_t first = c == chunks.size() ? num_docs : chunk_first[c] + d;
+  *refresh = dropped || first < num_docs;
+  if (first == num_docs) return Status::OK();
+  return Scan(trapdoor, first, num_shards, pool, out, match_evals);
+}
+
+std::shared_ptr<RelationSnapshot> RelationSnapshot::WithMemo(
+    const RelationSnapshot& scanned, const Bytes& trapdoor_bytes,
+    const std::vector<SnapshotMatch>& matches) const {
+  if (index == nullptr) return nullptr;
+  auto entry = std::make_shared<TrapdoorIndex::Entry>();
+  entry->trapdoor_bytes = trapdoor_bytes;
+  entry->row_ids.reserve(matches.size());
+  for (const SnapshotMatch& match : matches) {
+    entry->row_ids.push_back(match.row_id);
+  }
+  // A hit's answer also covers what the entry it came from covered.
+  entry->watermark = scanned.Watermark();
+  const TrapdoorIndex::Entry* prior =
+      scanned.index != nullptr ? scanned.index->Find(trapdoor_bytes) : nullptr;
+  if (prior != nullptr) {
+    entry->watermark = std::max(entry->watermark, prior->watermark);
+  }
+  std::shared_ptr<const TrapdoorIndex> next_index =
+      index->With(std::move(entry));
+  if (next_index == nullptr) return nullptr;
+  auto next = std::make_shared<RelationSnapshot>(*this);
+  next->index = std::move(next_index);
+  return next;
 }
 
 Status RelationSnapshot::ScanReference(const swp::Trapdoor& trapdoor,

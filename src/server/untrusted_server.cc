@@ -62,8 +62,6 @@ void UntrustedServer::InitInstruments() {
   ins_.index_hits = metrics_.GetGauge("dbph_index_hits");
   ins_.index_misses = metrics_.GetGauge("dbph_index_misses");
   ins_.index_memoized = metrics_.GetGauge("dbph_index_memoized");
-  ins_.index_append_evals = metrics_.GetGauge("dbph_index_append_evals");
-  ins_.index_invalidations = metrics_.GetGauge("dbph_index_invalidations");
   ins_.index_at_capacity =
       metrics_.GetGauge("dbph_index_relations_at_capacity");
   metrics_.SetInfo(
@@ -247,29 +245,24 @@ void UntrustedServer::RefreshGaugesFromSnapshot(const ServerSnapshot& snap) {
     FlushPendingStatsLocked();
   }
   ins_.relations->Set(static_cast<int64_t>(snap.relations.size()));
-  planner::TrapdoorIndex::Stats totals;
+  int64_t memoized = 0;
   int64_t trapdoors = 0;
   int64_t postings = 0;
   int64_t at_capacity = 0;
   for (const auto& [name, rel] : snap.relations) {
     if (rel->index == nullptr) continue;
-    const planner::TrapdoorIndex::Stats& stats = rel->index->stats();
-    totals.memoized += stats.memoized;
-    totals.append_evals += stats.append_evals;
-    totals.invalidations += stats.invalidations;
+    memoized += static_cast<int64_t>(rel->index->memoized());
     trapdoors += static_cast<int64_t>(rel->index->num_trapdoors());
     postings += static_cast<int64_t>(rel->index->num_postings());
     if (rel->index->AtCapacity()) ++at_capacity;
   }
-  // Selects consult the frozen indexes through the stats-free Peek and
-  // count into the server-level atomics — the only hit/miss count.
+  // Selects consult the frozen memos and count into the server-level
+  // atomics — the only hit/miss count.
   ins_.index_hits->Set(static_cast<int64_t>(
       reader_index_hits_.load(std::memory_order_relaxed)));
   ins_.index_misses->Set(static_cast<int64_t>(
       reader_index_misses_.load(std::memory_order_relaxed)));
-  ins_.index_memoized->Set(static_cast<int64_t>(totals.memoized));
-  ins_.index_append_evals->Set(static_cast<int64_t>(totals.append_evals));
-  ins_.index_invalidations->Set(static_cast<int64_t>(totals.invalidations));
+  ins_.index_memoized->Set(memoized);
   ins_.index_trapdoors->Set(trapdoors);
   ins_.index_postings->Set(postings);
   ins_.index_at_capacity->Set(at_capacity);
@@ -321,30 +314,20 @@ void UntrustedServer::PublishDirtyLocked() {
 }
 
 void UntrustedServer::TryMemoizeFromSnapshot(
-    const std::string& relation, const RelationSnapshot* pinned,
-    const Bytes& trapdoor_bytes, const swp::Trapdoor& trapdoor,
-    const std::vector<uint64_t>& postings, bool holds_dispatch_lock) {
-  if (!runtime_options_.enable_trapdoor_index) return;
+    const std::string& relation, const RelationSnapshot& scanned,
+    const Bytes& trapdoor_bytes, const std::vector<SnapshotMatch>& matches,
+    bool holds_dispatch_lock) {
   // A top-level read is best-effort only: a contended writer wins and we
-  // simply don't memoize (the next scan of this trapdoor gets another
+  // simply don't memoize (the next select of this trapdoor gets another
   // chance). A read leg of a locked request already holds the mutex;
   // locking it again from the same thread would be undefined behavior.
   std::unique_lock<std::mutex> lock(dispatch_mutex_, std::defer_lock);
   if (!holds_dispatch_lock && !lock.try_lock()) return;
   auto it = relations_.find(relation);
   if (it == relations_.end()) return;
-  const RelationSnapshot& live = *it->second;
-  // The scan result describes the pinned snapshot's documents; it seeds
-  // the index only while the current document state is still that
-  // generation (index/attestation churn in between is fine).
-  if (live.doc_generation != pinned->doc_generation) return;
-  if (live.index->AtCapacity() || live.index->Peek(trapdoor_bytes) != nullptr) {
-    return;  // Memoize would be a no-op
-  }
-  auto index = std::make_shared<planner::TrapdoorIndex>(*live.index);
-  index->Memoize(trapdoor_bytes, trapdoor, postings);
-  auto next = std::make_shared<RelationSnapshot>(live);
-  next->index = std::move(index);
+  std::shared_ptr<RelationSnapshot> next =
+      it->second->WithMemo(scanned, trapdoor_bytes, matches);
+  if (next == nullptr) return;
   InstallLocked(relation, std::move(next));
   PublishDirtyLocked();
 }
@@ -382,12 +365,9 @@ Result<std::shared_ptr<RelationSnapshot>> UntrustedServer::NewRelationLocked(
     rel->epoch = 1;
   }
   if (runtime_options_.enable_trapdoor_index) {
-    auto index = std::make_shared<planner::TrapdoorIndex>();
-    index->set_max_trapdoors(runtime_options_.max_indexed_trapdoors);
-    index->set_max_append_evals(runtime_options_.max_index_append_evals);
-    rel->index = std::move(index);
+    rel->index = std::make_shared<const TrapdoorIndex>(
+        runtime_options_.max_indexed_trapdoors);
   }
-  rel->doc_generation = ++doc_generation_counter_;
   return rel;
 }
 
@@ -547,8 +527,8 @@ UntrustedServer::SnapshotSelectBatch(
   struct QueryState {
     const RelationSnapshot* rel = nullptr;
     Bytes trapdoor_bytes;
-    /// Frozen-index answer; null = scan. An empty list is a real answer.
-    const std::vector<uint64_t>* postings = nullptr;
+    /// The frozen memo's entry for the trapdoor; null = full scan.
+    const TrapdoorIndex::Entry* hit = nullptr;
     bool will_memoize = false;
     bool failed = false;
     std::vector<SnapshotMatch> matches;
@@ -556,8 +536,8 @@ UntrustedServer::SnapshotSelectBatch(
   std::vector<QueryState> states(queries.size());
   std::vector<SelectOutcome> results(queries.size());
 
-  // ---- plan: resolve + consult the frozen index (stats-free Peek;
-  // hit/miss accounting goes to the server-level reader atomics) ----
+  // ---- plan: resolve + consult the frozen memo (hit/miss accounting
+  // goes to the server-level reader atomics) ----
   SteadyClock::time_point plan_start{};
   if (timed) plan_start = SteadyClock::now();
   for (size_t i = 0; i < queries.size(); ++i) {
@@ -571,8 +551,8 @@ UntrustedServer::SnapshotSelectBatch(
     st.rel = it->second.get();
     queries[i].trapdoor.AppendTo(&st.trapdoor_bytes);
     if (st.rel->index != nullptr) {
-      st.postings = st.rel->index->Peek(st.trapdoor_bytes);
-      if (st.postings != nullptr) {
+      st.hit = st.rel->index->Find(st.trapdoor_bytes);
+      if (st.hit != nullptr) {
         reader_index_hits_.fetch_add(1, std::memory_order_relaxed);
       } else {
         reader_index_misses_.fetch_add(1, std::memory_order_relaxed);
@@ -581,48 +561,46 @@ UntrustedServer::SnapshotSelectBatch(
     }
   }
 
-  // ---- execute: posting fetches inline, then the scan queries (each a
-  // sharded wave over the pool, results in storage order) ----
+  // ---- execute: the memo hits (each its live rows plus a scan of the
+  // rows stored since), then the full scans (each a sharded wave over the
+  // pool, results in storage order); a stale hit or a scan memoizes ----
+  const bool holds_lock = scratch != nullptr && scratch->holds_dispatch_lock;
+  uint64_t batch_match_evals = 0;
+  const auto execute = [&](size_t i) {
+    QueryState& st = states[i];
+    Status status =
+        st.hit != nullptr
+            ? st.rel->ScanFromMemo(*st.hit, queries[i].trapdoor, ShardCount(),
+                                   pool(), &st.matches, &batch_match_evals,
+                                   &st.will_memoize)
+            : st.rel->Scan(queries[i].trapdoor, 0, ShardCount(), pool(),
+                           &st.matches, &batch_match_evals);
+    if (!status.ok()) {
+      st.matches.clear();
+      st.failed = true;
+      results[i].docs = status;
+      return;
+    }
+    if (st.will_memoize) {
+      TryMemoizeFromSnapshot(queries[i].relation, *st.rel, st.trapdoor_bytes,
+                             st.matches, holds_lock);
+    }
+  };
   SteadyClock::time_point index_start{};
   if (timed) index_start = SteadyClock::now();
   size_t index_queries = 0;
   size_t scan_queries = 0;
   for (size_t i = 0; i < queries.size(); ++i) {
-    QueryState& st = states[i];
-    if (st.rel == nullptr || st.postings == nullptr) continue;
-    Status status = st.rel->FetchPostings(*st.postings, &st.matches);
-    if (!status.ok()) {
-      st.matches.clear();
-      st.failed = true;
-      results[i].docs = status;
-    }
+    if (states[i].hit == nullptr) continue;
     ++index_queries;
+    execute(i);
   }
   SteadyClock::time_point scan_start{};
   if (timed) scan_start = SteadyClock::now();
-  uint64_t batch_match_evals = 0;
   for (size_t i = 0; i < queries.size(); ++i) {
-    QueryState& st = states[i];
-    if (st.rel == nullptr || st.postings != nullptr) continue;
+    if (states[i].rel == nullptr || states[i].hit != nullptr) continue;
     ++scan_queries;
-    Status status = st.rel->Scan(queries[i].trapdoor, ShardCount(), pool(),
-                                 &st.matches, &batch_match_evals);
-    if (!status.ok()) {
-      st.matches.clear();
-      st.failed = true;
-      results[i].docs = status;
-      continue;
-    }
-    if (st.will_memoize) {
-      std::vector<uint64_t> postings;
-      postings.reserve(st.matches.size());
-      for (const SnapshotMatch& match : st.matches) {
-        postings.push_back(match.row_id);
-      }
-      TryMemoizeFromSnapshot(
-          queries[i].relation, st.rel, st.trapdoor_bytes, queries[i].trapdoor,
-          postings, scratch != nullptr && scratch->holds_dispatch_lock);
-    }
+    execute(i);
   }
   SteadyClock::time_point scan_end{};
   if (timed) scan_end = SteadyClock::now();
@@ -647,9 +625,9 @@ UntrustedServer::SnapshotSelectBatch(
       scratch->cur.flags |= PendingRequestStat::kUsedScan;
       scratch->cur.scan_queries += SaturateU32(scan_queries);
       scratch->cur.execute_scan_micros += SaturateU32(scan_micros);
-      scratch->trace.match_evals += batch_match_evals;
-      scratch->cur.match_evals += SaturateU32(batch_match_evals);
     }
+    scratch->trace.match_evals += batch_match_evals;
+    scratch->cur.match_evals += SaturateU32(batch_match_evals);
     if (scratch->trace.relation.empty() && !queries.empty()) {
       scratch->trace.relation = queries.front().relation;
     }
@@ -680,7 +658,7 @@ UntrustedServer::SnapshotSelectBatch(
     if (auditor_ != nullptr) {
       auditor_->RecordQuery(queries[i].relation, observation.trapdoor_bytes,
                             docs.size(),
-                            /*used_index=*/st.postings != nullptr);
+                            /*used_index=*/st.hit != nullptr);
     }
     if (timed) scratch->trace.result_size += docs.size();
     observations.push_back(std::move(observation));
@@ -718,8 +696,7 @@ Result<protocol::PlanReport> UntrustedServer::ExplainFromSnapshot(
   Bytes trapdoor_bytes;
   query.trapdoor.AppendTo(&trapdoor_bytes);
   // The decision SnapshotSelectBatch makes, against the same frozen
-  // state (EXPLAIN is plan-only: the stats-free Peek, nothing executed,
-  // nothing logged).
+  // state (EXPLAIN is plan-only: nothing matched, nothing logged).
   protocol::PlanReport report;
   report.relation = query.relation;
   report.num_records = static_cast<uint32_t>(rel.num_docs);
@@ -728,10 +705,15 @@ Result<protocol::PlanReport> UntrustedServer::ExplainFromSnapshot(
   report.indexed_trapdoors = static_cast<uint32_t>(
       rel.index != nullptr ? rel.index->num_trapdoors() : 0);
   if (rel.index != nullptr) {
-    if (const std::vector<uint64_t>* postings =
-            rel.index->Peek(trapdoor_bytes)) {
+    if (const TrapdoorIndex::Entry* entry = rel.index->Find(trapdoor_bytes)) {
+      // A hit fetches the entry's live rows and matches the word slots
+      // stored since; it re-memoizes when either differs from the entry.
       report.access_path = protocol::PlanAccessPath::kIndexLookup;
-      report.posting_size = static_cast<uint32_t>(postings->size());
+      const uint64_t live = rel.LiveRows(*entry);
+      report.posting_size = static_cast<uint32_t>(live);
+      report.match_evals = rel.WordSlotsFrom(entry->watermark);
+      report.will_memoize = live < entry->row_ids.size() ||
+                            rel.Watermark() > entry->watermark;
       return report;
     }
     report.will_memoize = !rel.index->AtCapacity();
@@ -758,7 +740,6 @@ Status UntrustedServer::AppendTuplesLocked(
         *search_delta, live.num_docs, live.num_docs + documents.size()));
     next->search = std::move(search);
   }
-  const uint64_t first_row = next_row_id_;
   DBPH_RETURN_IF_ERROR(next->AppendDocuments(documents, &next_row_id_));
   std::shared_ptr<crypto::MerkleTree> tree;
   if (integrity) tree = std::make_shared<crypto::MerkleTree>(*live.tree);
@@ -774,20 +755,6 @@ Status UntrustedServer::AppendTuplesLocked(
     // the same rule, so epochs agree without a negotiation round trip.
     ++next->epoch;
   }
-  if (runtime_options_.enable_trapdoor_index) {
-    // Keep memoized posting lists exact: evaluate every cached trapdoor
-    // against just the new documents (what an Eve replaying her log
-    // would do) so a later index-path select equals a fresh full scan.
-    std::vector<std::pair<uint64_t, const swp::EncryptedDocument*>> added;
-    added.reserve(documents.size());
-    for (size_t i = 0; i < documents.size(); ++i) {
-      added.emplace_back(first_row + i, &documents[i]);
-    }
-    auto index = std::make_shared<planner::TrapdoorIndex>(*live.index);
-    index->OnAppend(live.check_length, added);
-    next->index = std::move(index);
-  }
-  next->doc_generation = ++doc_generation_counter_;
   RecordStoreObservation(name, documents.size(), bytes);
   InstallLocked(name, std::move(next));
   return Status::OK();
@@ -802,12 +769,12 @@ Result<size_t> UntrustedServer::DeleteWhereLocked(
     return Status::NotFound("relation '" + query.relation + "' not stored");
   }
   const RelationSnapshot& live = *it->second;
-  // The match set is the scan a select of this trapdoor runs, over the
-  // current state (every write applied so far, earlier batch legs
-  // included). Nothing is installed unless the scan succeeds.
+  // The match set is a full scan of the current state (every write
+  // applied so far, earlier batch legs included): the rows a select of
+  // this trapdoor returns. Nothing is installed unless the scan succeeds.
   std::vector<SnapshotMatch> matches;
   uint64_t match_evals = 0;
-  DBPH_RETURN_IF_ERROR(live.Scan(query.trapdoor, ShardCount(), pool(),
+  DBPH_RETURN_IF_ERROR(live.Scan(query.trapdoor, 0, ShardCount(), pool(),
                                  &matches, &match_evals));
 
   QueryObservation observation;
@@ -836,7 +803,6 @@ Result<size_t> UntrustedServer::DeleteWhereLocked(
   auto next = std::make_shared<RelationSnapshot>(live);
   if (removed > 0) {
     next->RemovePositions(removed_positions);
-    next->doc_generation = ++doc_generation_counter_;
     if (runtime_options_.enable_integrity) {
       auto tree = std::make_shared<crypto::MerkleTree>(*live.tree);
       tree->RemoveSorted(removed_positions);
@@ -846,16 +812,6 @@ Result<size_t> UntrustedServer::DeleteWhereLocked(
       auto search = std::make_shared<crypto::SearchTree>(*live.search);
       search->ApplyDelete(removed_positions);
       next->search = std::move(search);
-    }
-    if (runtime_options_.enable_trapdoor_index) {
-      // Deleted rows leave every posting list (an already-memoized copy
-      // of this delete's trapdoor thereby becomes empty — exactly what a
-      // rescan would find). The delete's trapdoor is deliberately NOT
-      // memoized fresh: delete traffic would otherwise fill the capped
-      // memo with entries only selects repay.
-      auto index = std::make_shared<planner::TrapdoorIndex>(*live.index);
-      index->OnDelete(observation.matched_records);
-      next->index = std::move(index);
     }
   }
   // Even a match-less delete is an epoch (the client mirrors the rule).

@@ -23,7 +23,6 @@
 #include "protocol/plan_report.h"
 #include "protocol/result_proof.h"
 #include "server/observation.h"
-#include "server/planner/trapdoor_index.h"
 #include "server/runtime/thread_pool.h"
 #include "server/snapshot.h"
 
@@ -38,26 +37,18 @@ struct ServerRuntimeOptions {
   /// Shards per relation scan. 0 = 4x the worker count (over-splitting
   /// keeps all cores busy when shards finish unevenly).
   size_t num_shards = 0;
-  /// Trapdoor posting-list index: memoize full-scan results so a
-  /// repeated trapdoor becomes a posting-list fetch instead of an O(n)
-  /// scan. Results and observation-log entries are byte-identical either
-  /// way (tests assert it), so this is purely a performance switch. The
-  /// index answers only what Eve could precompute from her own log — see
-  /// README "Query planning & indexing".
+  /// Trapdoor memo (TrapdoorIndex): memoize select answers so a repeated
+  /// trapdoor fetches its rows and scans only the rows stored since,
+  /// instead of the whole relation. Results and observation-log entries
+  /// are byte-identical either way (tests assert it), so this is purely
+  /// a performance switch. The memo holds only answers selects already
+  /// revealed — see docs/SECURITY.md §2.
   bool enable_trapdoor_index = true;
   /// Distinct trapdoors memoized per relation (0 = unlimited). Bounds
-  /// index memory and per-append maintenance on a long-running daemon;
-  /// at capacity new trapdoors keep scanning while existing entries
-  /// keep serving (stop-memoizing, never evict — a performance plateau,
-  /// not a correctness change).
+  /// memo memory on a long-running daemon; at capacity new trapdoors
+  /// keep scanning while existing entries keep serving (stop-memoizing,
+  /// never evict — a performance plateau, not a correctness change).
   size_t max_indexed_trapdoors = 65536;
-  /// Per-append index-maintenance budget, in trapdoor evaluations
-  /// (0 = unlimited). An append maintains memoized entries until
-  /// the budget runs out and evicts the rest, so appends never stall
-  /// the dispatch lock on index bookkeeping; bulk-append deployments
-  /// should raise this (or the memo shrinks to budget/batch-size
-  /// entries).
-  size_t max_index_append_evals = 16 * 1024;
   /// Result integrity: maintain a per-relation Merkle tree over the
   /// stored ciphertext (in storage order) and attach a
   /// protocol::ResultProof to every select / fetch / delete response, so
@@ -133,9 +124,9 @@ class UntrustedServer {
   /// requests (store / append / delete / drop / attest / flush, and any
   /// batch containing one) serialize on `dispatch_mutex_` for their full
   /// duration. Each builds its relation's successor state (sealed chunks
-  /// + trapdoor index + Merkle tree/epoch/attestation) aside, and before
-  /// releasing the lock publishes the map of relation states via one
-  /// shared_ptr swap.
+  /// + Merkle tree/epoch/attestation, sharing the trapdoor memo) aside,
+  /// and before releasing the lock publishes the map of relation states
+  /// via one shared_ptr swap.
   /// Read-shaped requests (select, all-select batches, EXPLAIN, fetch,
   /// stats, leakage report, ping) pin the published snapshot with a
   /// single acquire load and execute WITHOUT the dispatch lock —
@@ -349,9 +340,10 @@ class UntrustedServer {
 
   /// Deletes every document matching the trapdoor; returns the count.
   /// Deletions leak exactly like selects (the matched identities) and are
-  /// recorded in the observation log accordingly: the match set is the
-  /// scan a select of the same trapdoor runs, over the relation's current
-  /// state (every write applied so far). When `removed_out` is non-null it
+  /// recorded in the observation log accordingly: the match set is a full
+  /// scan of the relation's current state (every write applied so far),
+  /// the rows a select of the same trapdoor returns. The memo is left
+  /// alone: its entries skip deleted rows. When `removed_out` is non-null it
   /// receives the pre-delete (leaf position, serialized document)
   /// manifest the client verifies against its own tree.
   Result<size_t> DeleteWhereLocked(
@@ -431,15 +423,16 @@ class UntrustedServer {
                                   RequestScratch* scratch);
 
   /// EXPLAIN against a pinned snapshot: the access path the select
-  /// pipeline would take, through the frozen index's stats-free Peek
-  /// (EXPLAIN never counts toward the hit/miss gauges).
+  /// pipeline would take and what it would cost, through the frozen
+  /// memo (EXPLAIN never counts toward the hit/miss gauges).
   Result<protocol::PlanReport> ExplainFromSnapshot(
       const ServerSnapshot& snap, const core::EncryptedQuery& query);
 
-  /// The select pipeline: plans with the frozen index (Peek), fetches
-  /// postings or runs sharded scans over the frozen documents, feeds the
-  /// auditor, and appends one observation-log entry per query (in query
-  /// order, atomically under log_mutex_). `scratch` null = untimed.
+  /// The select pipeline: plans with the frozen memo, serves hits
+  /// (memoized rows plus a scan of the rows stored since) or runs sharded
+  /// scans over the frozen documents, feeds the auditor, and appends one
+  /// observation-log entry per query (in query order, atomically under
+  /// log_mutex_). `scratch` null = untimed.
   std::vector<SelectOutcome> SnapshotSelectBatch(
       const ServerSnapshot& snap,
       const std::vector<core::EncryptedQuery>& queries,
@@ -451,20 +444,19 @@ class UntrustedServer {
   protocol::Envelope MakeSelectResponse(SelectOutcome* outcome,
                                         RequestScratch* scratch);
 
-  /// After a snapshot scan missed the index, memoize the scan result into
-  /// a successor of the relation's current state if its documents are
-  /// still the generation the snapshot was pinned at (doc_generation
-  /// match — index/attestation churn in between is harmless), then
-  /// republish.
+  /// Memoizes `matches`, the answer a trapdoor got on the pinned state
+  /// `scanned` (a scan that missed the memo, or a hit that scanned or
+  /// dropped rows), into a successor of the relation's current state and
+  /// republishes. The entry is exact for the current state however far
+  /// it moved past `scanned` (see TrapdoorIndex), so nothing is checked.
   /// A top-level read only try-locks the dispatch mutex and skips on
-  /// contention or staleness — a pure performance loss, never a
-  /// correctness one; a read leg of a locked request already holds it
+  /// contention — a pure performance loss, never a correctness one; a
+  /// read leg of a locked request already holds it
   /// (`holds_dispatch_lock`).
   void TryMemoizeFromSnapshot(const std::string& relation,
-                              const RelationSnapshot* pinned,
+                              const RelationSnapshot& scanned,
                               const Bytes& trapdoor_bytes,
-                              const swp::Trapdoor& trapdoor,
-                              const std::vector<uint64_t>& postings,
+                              const std::vector<SnapshotMatch>& matches,
                               bool holds_dispatch_lock);
 
   // ---------------- snapshot publication (dispatch lock held) -----------
@@ -512,8 +504,6 @@ class UntrustedServer {
     obs::Gauge* index_hits = nullptr;
     obs::Gauge* index_misses = nullptr;
     obs::Gauge* index_memoized = nullptr;
-    obs::Gauge* index_append_evals = nullptr;
-    obs::Gauge* index_invalidations = nullptr;
     obs::Gauge* index_at_capacity = nullptr;
   };
   void InitInstruments();
@@ -551,7 +541,7 @@ class UntrustedServer {
   size_t ShardCount();
 
   /// Each relation's current state, under the dispatch lock. The trapdoor
-  /// index inside is volatile cache: it dies with the relation (Drop) and
+  /// memo inside is volatile cache: it dies with the relation (Drop) and
   /// starts cold after RestoreState / recovery.
   std::map<std::string, std::shared_ptr<const RelationSnapshot>> relations_;
   ObservationLog log_;
@@ -586,13 +576,12 @@ class UntrustedServer {
   std::shared_ptr<const ServerSnapshot> published_;
   /// Set while relations_ holds a state not yet published.
   bool snapshot_stale_ = true;
-  /// Source of doc_generation stamps (monotone across all relations).
-  uint64_t doc_generation_counter_ = 0;
   /// Source of row ids (monotone across all relations, restores
-  /// included), so no id ever names two documents within a process.
+  /// included), so no id ever names two documents within a process —
+  /// the order every memo entry's watermark relies on.
   uint64_t next_row_id_ = 0;
-  /// Frozen-index consultations by selects — the only hit/miss count
-  /// (Peek is stats-free so the frozen copy stays immutable).
+  /// Frozen-memo consultations by selects — the only hit/miss count
+  /// (the installed memo is immutable).
   std::atomic<uint64_t> reader_index_hits_{0};
   std::atomic<uint64_t> reader_index_misses_{0};
   /// Debug-only: the one transport allowed to dispatch MUTATIONS, when

@@ -32,32 +32,6 @@ bool HashIndex::Delete(const Bytes& key, uint64_t value) {
   return true;
 }
 
-size_t HashIndex::DeleteValues(const Bytes& key,
-                               const std::unordered_set<uint64_t>& values) {
-  auto it = map_.find(key);
-  if (it == map_.end() || values.empty()) return 0;
-  auto& list = it->second;
-  size_t before = list.size();
-  list.erase(std::remove_if(list.begin(), list.end(),
-                            [&values](uint64_t v) {
-                              return values.count(v) > 0;
-                            }),
-             list.end());
-  size_t removed = before - list.size();
-  size_ -= removed;
-  if (list.empty()) map_.erase(it);
-  return removed;
-}
-
-size_t HashIndex::DeleteKey(const Bytes& key) {
-  auto it = map_.find(key);
-  if (it == map_.end()) return 0;
-  size_t removed = it->second.size();
-  size_ -= removed;
-  map_.erase(it);
-  return removed;
-}
-
 std::vector<Bytes> HashIndex::Keys() const {
   std::vector<Bytes> keys;
   keys.reserve(map_.size());

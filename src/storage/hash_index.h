@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/bytes.h"
@@ -28,17 +27,6 @@ class HashIndex {
 
   /// Removes one (key, value) pair; false when absent.
   bool Delete(const Bytes& key, uint64_t value);
-
-  /// Removes every (key, value) pair whose value is in `values` — one
-  /// pass over the key's posting list, preserving the survivors' order.
-  /// Returns the number removed. The bulk form of Delete: O(list) total
-  /// instead of O(list) per removed value.
-  size_t DeleteValues(const Bytes& key,
-                      const std::unordered_set<uint64_t>& values);
-
-  /// Removes a key and its whole posting list; returns how many values
-  /// that discarded.
-  size_t DeleteKey(const Bytes& key);
 
   size_t num_keys() const { return map_.size(); }
   size_t size() const { return size_; }

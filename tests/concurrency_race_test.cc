@@ -81,6 +81,12 @@ TEST(ConcurrencyRaceTest, VerifiedReadersRaceWriterWithoutTearsOrLockups) {
   owner.set_verify_mode(client::VerifyMode::kEnforce);
   ASSERT_TRUE(owner.Outsource(BuildStable()).ok());
   ASSERT_TRUE(owner.Outsource(Relation("Churn", TableSchema())).ok());
+  // Memoize grp = 7 while Churn is empty: every tear read below is then a
+  // memo hit that scans the rows appended since and drops the deleted
+  // ones, and its refresh races the writer for the dispatch lock.
+  auto empty = owner.Select("Churn", "grp", Value::Int(7));
+  ASSERT_TRUE(empty.ok()) << empty.status();
+  ASSERT_TRUE(empty->empty());
 
   constexpr int kReaders = 3;        // Enforce-verified selects on Stable
   constexpr int kReaderSelects = 20;
@@ -192,13 +198,14 @@ TEST(ConcurrencyRaceTest, VerifiedReadersRaceWriterWithoutTearsOrLockups) {
   EXPECT_EQ(final_rows->size(), 2u * (kWriterPairs - kWriterDeletes));
 
   // Observation-log serializability: one entry per executed query (the
-  // racing final-state select included), every entry well-formed, and
-  // the tear invariant visible in Eve's own transcript — Churn selects
-  // always observed an even number of matched records.
+  // memoizing select before the race and the final-state select
+  // included), every entry well-formed, and the tear invariant visible in
+  // Eve's own transcript — Churn selects always observed an even number
+  // of matched records.
   const auto& queries = eve.observations().queries();
   const size_t expected =
       size_t(kReaders) * kReaderSelects + size_t(kTearReaders) * kTearSelects +
-      kWriterDeletes + 1;
+      kWriterDeletes + 2;
   EXPECT_EQ(queries.size(), expected);
   EXPECT_EQ(eve.observations().aggregate().num_queries, expected);
   for (const auto& q : queries) {

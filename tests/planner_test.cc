@@ -1,8 +1,8 @@
-// Access-path coverage: the trapdoor posting-list index must be purely
-// a performance decision. Whichever path a select takes, the documents
-// returned (bytes and order) and the observation-log entries recorded
-// must be identical to a full scan — across selects, batches with
-// duplicate trapdoors, appends, deletes, budgets, capacity and recovery.
+// Access-path coverage: the trapdoor memo must be purely a performance
+// decision. Whichever path a select takes, the documents returned (bytes
+// and order) and the observation-log entries recorded must be identical
+// to a full scan — across selects, batches with duplicate trapdoors,
+// stale hits after appends and deletes, capacity and recovery.
 // The index cases run twin servers, index on and off, over identical
 // ciphertext. Also covers EXPLAIN (kExplain / PlanReport) and the
 // bounded observation mode.
@@ -104,7 +104,7 @@ struct Deployment {
 // ---------------- the trapdoor index on twin servers ----------------
 
 /// A 40-row relation (grp = i % 5, so 8 rows per group) on twin
-/// deployments, index on and off. Budgets come from
+/// deployments, index on and off. The capacity comes from
 /// ServerRuntimeOptions; the access path is read from EXPLAIN and the
 /// hit counts from CollectStats, both on the index-on twin.
 class IndexTwinTest : public ::testing::Test {
@@ -228,13 +228,30 @@ TEST_F(IndexTwinTest, DuplicateTrapdoorsInOneBatchMemoizeOnce) {
 TEST_F(IndexTwinTest, AppendExtendsPostingsExactly) {
   Start();
   EXPECT_EQ(SelectBoth("grp", Value::Int(3)), 8u);  // memoize
+  // grp = 0 is never selected, so its plan is a full scan whose
+  // match_evals is the relation's word-slot count.
+  const uint64_t slots_before = Explain("grp", Value::Int(0)).match_evals;
   InsertTenBoth();
   if (HasFatalFailure()) return;
-  // One memoized trapdoor evaluated against ten new documents.
-  EXPECT_EQ(Gauge("dbph_index_append_evals"), 10);
-  protocol::PlanReport plan = Explain("grp", Value::Int(3));
-  EXPECT_EQ(plan.access_path, PlanAccessPath::kIndexLookup);
-  EXPECT_EQ(plan.posting_size, 10u);
+  const uint64_t slots_after = Explain("grp", Value::Int(0)).match_evals;
+  ASSERT_GT(slots_after, slots_before);
+
+  // Appends leave the memo alone: the entry is now a stale hit that
+  // fetches its 8 rows and matches only the ten appended rows.
+  protocol::PlanReport stale = Explain("grp", Value::Int(3));
+  EXPECT_EQ(stale.access_path, PlanAccessPath::kIndexLookup);
+  EXPECT_EQ(stale.posting_size, 8u);
+  EXPECT_EQ(stale.match_evals, slots_after - slots_before);
+  EXPECT_TRUE(stale.will_memoize);
+  EXPECT_EQ(SelectBoth("grp", Value::Int(3)), 10u);
+
+  // The hit re-memoized its answer: the refreshed entry is fresh.
+  protocol::PlanReport fresh = Explain("grp", Value::Int(3));
+  EXPECT_EQ(fresh.access_path, PlanAccessPath::kIndexLookup);
+  EXPECT_EQ(fresh.posting_size, 10u);
+  EXPECT_EQ(fresh.match_evals, 0u);
+  EXPECT_FALSE(fresh.will_memoize);
+  EXPECT_EQ(Gauge("dbph_index_memoized"), 2);
   EXPECT_EQ(SelectBoth("grp", Value::Int(3)), 10u);
   ExpectSameTranscripts();
 }
@@ -250,59 +267,22 @@ TEST_F(IndexTwinTest, DeleteDropsPostingsExactly) {
     EXPECT_EQ(*on, 1u);
     EXPECT_EQ(on_->responses.back(), off_->responses.back());
   }
-  protocol::PlanReport plan = Explain("grp", Value::Int(4));
-  EXPECT_EQ(plan.access_path, PlanAccessPath::kIndexLookup);
-  EXPECT_EQ(plan.posting_size, 6u);
+  // Deletes leave the memo alone: the hit skips the two deleted rows.
+  protocol::PlanReport stale = Explain("grp", Value::Int(4));
+  EXPECT_EQ(stale.access_path, PlanAccessPath::kIndexLookup);
+  EXPECT_EQ(stale.posting_size, 6u);
+  EXPECT_EQ(stale.match_evals, 0u);
+  EXPECT_TRUE(stale.will_memoize);
   EXPECT_EQ(SelectBoth("grp", Value::Int(4)), 6u);
-  ExpectSameTranscripts();
-}
 
-TEST_F(IndexTwinTest, OverBudgetAppendEvictsInsteadOfStalling) {
-  server::ServerRuntimeOptions options;
-  options.max_index_append_evals = 4;
-  Start(options);
-  EXPECT_EQ(SelectBoth("grp", Value::Int(2)), 8u);  // memoize
-  ASSERT_EQ(Explain("grp", Value::Int(2)).indexed_trapdoors, 1u);
-
-  // 1 memoized trapdoor x 10 new documents = 10 evaluations > budget 4:
-  // the entry is dropped rather than maintained under the lock.
-  InsertTenBoth();
-  if (HasFatalFailure()) return;
-  protocol::PlanReport cold = Explain("grp", Value::Int(2));
-  EXPECT_EQ(cold.access_path, PlanAccessPath::kFullScan);
-  EXPECT_TRUE(cold.will_memoize);
-  EXPECT_EQ(cold.indexed_trapdoors, 0u);
-  EXPECT_EQ(Gauge("dbph_index_invalidations"), 1);
-
-  // Cold again, still correct: the next select rescans and re-memoizes.
-  EXPECT_EQ(SelectBoth("grp", Value::Int(2)), 10u);
-  EXPECT_EQ(Explain("grp", Value::Int(2)).access_path,
-            PlanAccessPath::kIndexLookup);
-  EXPECT_EQ(SelectBoth("grp", Value::Int(2)), 10u);
-  ExpectSameTranscripts();
-}
-
-TEST_F(IndexTwinTest, AppendBudgetMaintainsWhatItCanEvictsTheRest) {
-  // Two memoized trapdoors, budget 12, append 10 documents: the first
-  // entry is maintained (10 <= 12), the second would exceed the budget
-  // and is evicted instead of served stale.
-  server::ServerRuntimeOptions options;
-  options.max_index_append_evals = 12;
-  Start(options);
-  EXPECT_EQ(SelectBoth("grp", Value::Int(0)), 8u);
-  EXPECT_EQ(SelectBoth("grp", Value::Int(1)), 8u);
-  ASSERT_EQ(Explain("grp", Value::Int(0)).indexed_trapdoors, 2u);
-
-  InsertTenBoth();
-  if (HasFatalFailure()) return;
-  EXPECT_EQ(Explain("grp", Value::Int(0)).indexed_trapdoors, 1u);
-  EXPECT_EQ(Gauge("dbph_index_invalidations"), 1);
-  EXPECT_EQ(Gauge("dbph_index_append_evals"), 10);
-
-  // Whichever entry survived serves exactly; the evicted one rescans
-  // exactly. Both equal the index-free twin's answers.
-  EXPECT_EQ(SelectBoth("grp", Value::Int(0)), 10u);
-  EXPECT_EQ(SelectBoth("grp", Value::Int(1)), 10u);
+  // The refresh drops them from the entry too.
+  protocol::PlanReport fresh = Explain("grp", Value::Int(4));
+  EXPECT_EQ(fresh.access_path, PlanAccessPath::kIndexLookup);
+  EXPECT_EQ(fresh.posting_size, 6u);
+  EXPECT_EQ(fresh.match_evals, 0u);
+  EXPECT_FALSE(fresh.will_memoize);
+  EXPECT_EQ(Gauge("dbph_index_memoized"), 2);
+  EXPECT_EQ(SelectBoth("grp", Value::Int(4)), 6u);
   ExpectSameTranscripts();
 }
 
@@ -367,7 +347,7 @@ TEST(PlannerDifferentialTest, IndexOnAndOffAreByteIdenticalEverywhere) {
       }
       if (round == 1) {
         ASSERT_TRUE(d->client.DeleteWhere("T", "grp", Value::Int(3)).ok());
-        // The deleted trapdoor is memoized empty; select it again.
+        // The memoized answer now lists only deleted rows; select it.
         ASSERT_TRUE(d->client.Select("T", "grp", Value::Int(3)).ok());
       }
     }

@@ -4,7 +4,10 @@
 // vector model: row ids, the byte cap, chunk sharing across deletes, the
 // position/row-id maps, and RelationSnapshot::Scan (the server's one
 // trapdoor scan) against ScanReference, the scalar sweep kept as its
-// oracle, at every shard count with and without a worker pool.
+// oracle, at every shard count with and without a worker pool. The
+// trapdoor memo is checked the same way: a memo hit (ScanFromMemo) must
+// equal ScanReference whatever earlier state or replaced relation its
+// entry was memoized from.
 
 #include <gtest/gtest.h>
 
@@ -58,7 +61,7 @@ void ExpectScanMatchesReference(const RelationSnapshot& rel,
       std::vector<SnapshotMatch> got;
       uint64_t match_evals = 0;
       const Status status =
-          rel.Scan(trapdoor, num_shards, runner, &got, &match_evals);
+          rel.Scan(trapdoor, 0, num_shards, runner, &got, &match_evals);
       ASSERT_EQ(status.code(), reference.code()) << status;
       EXPECT_EQ(match_evals, rel.word_slots) << num_shards << " shards";
       ASSERT_EQ(got.size(), expected.size()) << num_shards << " shards";
@@ -115,7 +118,7 @@ class SnapshotSealTest : public ::testing::Test {
 
 TEST_F(SnapshotSealTest, ScanFindsEveryMatchWithItsRowId) {
   std::vector<SnapshotMatch> matches;
-  ASSERT_TRUE(snapshot_.Scan(trapdoor_, 3, nullptr, &matches).ok());
+  ASSERT_TRUE(snapshot_.Scan(trapdoor_, 0, 3, nullptr, &matches).ok());
   // Every true match must be present (SWP guarantees no false
   // negatives); extras can only be false positives.
   size_t found = 0;
@@ -141,14 +144,14 @@ TEST_F(SnapshotSealTest, AnyShardCountAndPoolReproducesTheOneShardScan) {
   // document bytes, in storage order.
   server::runtime::ThreadPool pool(2);
   std::vector<SnapshotMatch> expected;
-  ASSERT_TRUE(snapshot_.Scan(trapdoor_, 1, nullptr, &expected).ok());
+  ASSERT_TRUE(snapshot_.Scan(trapdoor_, 0, 1, nullptr, &expected).ok());
   ASSERT_FALSE(expected.empty());
   for (size_t num_shards : {2u, 3u, 7u, 30u, 500u}) {
     EXPECT_LE(snapshot_.ScanShardCount(num_shards), docs_.size());
     for (server::runtime::ThreadPool* runner :
          {static_cast<server::runtime::ThreadPool*>(nullptr), &pool}) {
       std::vector<SnapshotMatch> got;
-      ASSERT_TRUE(snapshot_.Scan(trapdoor_, num_shards, runner, &got).ok());
+      ASSERT_TRUE(snapshot_.Scan(trapdoor_, 0, num_shards, runner, &got).ok());
       ASSERT_EQ(got.size(), expected.size()) << num_shards << " shards";
       for (size_t i = 0; i < got.size(); ++i) {
         EXPECT_EQ(got[i].position, expected[i].position);
@@ -356,6 +359,208 @@ TEST(ChunkStorePropertyTest, RandomAppendsAndDeletesMatchAVectorModel) {
   EXPECT_GE(max_chunks, 4u);
   EXPECT_TRUE(saw_oversized);
   EXPECT_FALSE(deleted.empty());
+}
+
+/// Exactly what ScanReference returns on `rel`: positions, row ids,
+/// document bytes and order.
+void ExpectSameAsReference(const RelationSnapshot& rel,
+                           const swp::Trapdoor& trapdoor,
+                           const std::vector<SnapshotMatch>& got) {
+  std::vector<SnapshotMatch> expected;
+  ASSERT_TRUE(rel.ScanReference(trapdoor, &expected).ok());
+  ASSERT_EQ(got.size(), expected.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].position, expected[i].position);
+    EXPECT_EQ(got[i].row_id, expected[i].row_id);
+    EXPECT_EQ(Serialized(got[i].doc), Serialized(expected[i].doc));
+  }
+}
+
+TEST(TrapdoorMemoPropertyTest, HitsFromAnyEarlierStateOrLineageAreExact) {
+  // One relation lineage under random appends and deletes. At random
+  // steps a trapdoor's answer is memoized from a random earlier state (a
+  // reader pinned on an old snapshot) or from a dropped relation that
+  // drew its row ids from the same counter (a drop and re-store). Every
+  // held entry must then answer like a full scan of the current state.
+  swp::SwpParams params;
+  params.word_length = 16;
+  params.check_length = 4;
+  auto scheme = swp::CreateScheme(swp::SchemeVariant::kFinal, params,
+                                  ToBytes("memo property master"));
+  ASSERT_TRUE(scheme.ok()) << scheme.status();
+  TestRng rng(0x3e30);
+  std::vector<Bytes> vocabulary;
+  std::vector<swp::Trapdoor> trapdoors;
+  std::vector<Bytes> trapdoor_bytes;
+  for (int i = 0; i < 4; ++i) {
+    vocabulary.push_back(rng.NextBytes(params.word_length));
+    auto trapdoor = (*scheme)->MakeTrapdoor(vocabulary.back());
+    ASSERT_TRUE(trapdoor.ok()) << trapdoor.status();
+    trapdoors.push_back(std::move(*trapdoor));
+    trapdoor_bytes.emplace_back();
+    trapdoors.back().AppendTo(&trapdoor_bytes.back());
+  }
+  const auto make_docs = [&](size_t count) {
+    std::vector<swp::EncryptedDocument> docs(count);
+    for (swp::EncryptedDocument& doc : docs) {
+      doc.nonce = rng.NextBytes(16);
+      crypto::StreamGenerator stream(ToBytes("memo property stream"),
+                                     doc.nonce);
+      const size_t num_words = 1 + rng.Below(3);
+      for (size_t w = 0; w < num_words; ++w) {
+        auto word = (*scheme)->EncryptWord(
+            stream, w, vocabulary[rng.Below(vocabulary.size())]);
+        EXPECT_TRUE(word.ok()) << word.status();
+        doc.words.push_back(std::move(*word));
+      }
+      doc.tag = rng.NextBytes(32);
+    }
+    return docs;
+  };
+  server::runtime::ThreadPool pool(2);
+  uint64_t next_row_id = 1;
+
+  // The answer a reader pinned on `state` gets: a hit when its memo holds
+  // the trapdoor, else a full scan.
+  const auto answer_on = [&](const RelationSnapshot& state, size_t t) {
+    std::vector<SnapshotMatch> matches;
+    bool refresh = false;
+    const server::TrapdoorIndex::Entry* entry =
+        state.index->Find(trapdoor_bytes[t]);
+    const Status status =
+        entry != nullptr
+            ? state.ScanFromMemo(*entry, trapdoors[t], 3, &pool, &matches,
+                                 nullptr, &refresh)
+            : state.Scan(trapdoors[t], 0, 3, &pool, &matches);
+    EXPECT_TRUE(status.ok()) << status;
+    return matches;
+  };
+
+  // A dropped lineage: its states predate every row of the main one.
+  std::vector<RelationSnapshot> dropped;
+  {
+    RelationSnapshot old;
+    old.check_length = static_cast<uint32_t>(params.check_length);
+    old.index = std::make_shared<const server::TrapdoorIndex>();
+    for (int step = 0; step < 4; ++step) {
+      ASSERT_TRUE(
+          old.AppendDocuments(make_docs(1 + rng.Below(5)), &next_row_id).ok());
+      if (step == 2) old.RemovePositions({0});
+      const size_t t = rng.Below(trapdoors.size());
+      if (auto next = old.WithMemo(old, trapdoor_bytes[t],
+                                   answer_on(old, t))) {
+        old = *next;
+      }
+      dropped.push_back(old);
+    }
+  }
+
+  RelationSnapshot rel;
+  rel.check_length = static_cast<uint32_t>(params.check_length);
+  rel.index = std::make_shared<const server::TrapdoorIndex>();
+  std::vector<RelationSnapshot> history = {rel};
+  std::vector<ModelRow> model;
+  size_t refreshes = 0, from_lineage = 0, stale_hits = 0;
+
+  for (int step = 0; step < 80; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const uint64_t action = rng.Below(8);
+    if (action < 3 || model.empty()) {
+      std::vector<swp::EncryptedDocument> docs = make_docs(1 + rng.Below(6));
+      const uint64_t first = next_row_id;
+      ASSERT_TRUE(rel.AppendDocuments(docs, &next_row_id).ok());
+      for (size_t i = 0; i < docs.size(); ++i) {
+        model.push_back({first + i, Serialized(docs[i]), docs[i].words.size()});
+      }
+      history.push_back(rel);
+    } else if (action < 5) {
+      std::vector<uint64_t> positions;
+      std::vector<ModelRow> survivors;
+      for (size_t pos = 0; pos < model.size(); ++pos) {
+        if (rng.Below(4) == 0) {
+          positions.push_back(pos);
+        } else {
+          survivors.push_back(model[pos]);
+        }
+      }
+      rel.RemovePositions(positions);
+      model = std::move(survivors);
+      history.push_back(rel);
+    } else {
+      // Memoize one trapdoor's answer from an earlier state of this
+      // lineage, or now and then from the dropped one.
+      const size_t t = rng.Below(trapdoors.size());
+      const bool lineage = rng.Below(4) == 0;
+      if (lineage) ++from_lineage;
+      const RelationSnapshot& scanned =
+          lineage ? dropped[rng.Below(dropped.size())]
+                  : history[rng.Below(history.size())];
+      const std::shared_ptr<const server::TrapdoorIndex> before = rel.index;
+      const server::TrapdoorIndex::Entry* held =
+          before->Find(trapdoor_bytes[t]);
+      const uint64_t held_watermark = held != nullptr ? held->watermark : 0;
+      std::shared_ptr<RelationSnapshot> next =
+          rel.WithMemo(scanned, trapdoor_bytes[t], answer_on(scanned, t));
+      if (next != nullptr) {
+        ++refreshes;
+        const server::TrapdoorIndex& after = *next->index;
+        ASSERT_EQ(after.num_trapdoors(),
+                  before->num_trapdoors() + (held != nullptr ? 0 : 1));
+        EXPECT_EQ(after.memoized(), before->memoized() + 1);
+        // Only the memoized trapdoor's entry is new; every other entry is
+        // the previous index's, by pointer.
+        for (const auto& entry : before->entries()) {
+          if (entry->trapdoor_bytes == trapdoor_bytes[t]) continue;
+          EXPECT_NE(std::find(after.entries().begin(), after.entries().end(),
+                              entry),
+                    after.entries().end());
+        }
+        EXPECT_GE(after.Find(trapdoor_bytes[t])->watermark, held_watermark);
+        rel = *next;
+        history.push_back(rel);
+      }
+      // The chunks are shared, not copied.
+      ASSERT_EQ(rel.chunks, history.back().chunks);
+    }
+
+    // Every held entry answers exactly, and EXPLAIN's figures hold.
+    for (size_t t = 0; t < trapdoors.size(); ++t) {
+      const server::TrapdoorIndex::Entry* entry =
+          rel.index->Find(trapdoor_bytes[t]);
+      if (entry == nullptr) continue;
+      uint64_t live = 0, tail_slots = 0;
+      bool tail = false;
+      for (const ModelRow& row : model) {
+        if (row.row_id >= entry->watermark) {
+          tail_slots += row.words;
+          tail = true;
+        } else if (std::binary_search(entry->row_ids.begin(),
+                                      entry->row_ids.end(), row.row_id)) {
+          ++live;
+        }
+      }
+      EXPECT_EQ(rel.LiveRows(*entry), live);
+      EXPECT_EQ(rel.WordSlotsFrom(entry->watermark), tail_slots);
+      for (size_t num_shards : {size_t{1}, size_t{3}}) {
+        std::vector<SnapshotMatch> got;
+        uint64_t match_evals = 0;
+        bool refresh = false;
+        ASSERT_TRUE(rel.ScanFromMemo(*entry, trapdoors[t], num_shards, &pool,
+                                     &got, &match_evals, &refresh)
+                        .ok());
+        EXPECT_EQ(match_evals, tail_slots);
+        EXPECT_EQ(refresh, tail || live < entry->row_ids.size());
+        stale_hits += refresh;
+        ExpectSameAsReference(rel, trapdoors[t], got);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+  // The walk reached the cases it exists to check.
+  EXPECT_GE(refreshes, 8u);
+  EXPECT_GE(from_lineage, 2u);
+  EXPECT_GE(stale_hits, 8u);
+  EXPECT_EQ(rel.index->num_trapdoors(), trapdoors.size());
 }
 
 }  // namespace

@@ -25,19 +25,14 @@
 //                   while mutations serialize on the single-writer
 //                   dispatch lock. Per-connection response order is
 //                   preserved either way.
-//   --index=on      (default) trapdoor posting-list index: repeated
-//                   trapdoors are answered from memoized match sets
-//                   instead of an O(n) scan. Results and observation
-//                   logging are byte-identical either way; off disables
-//                   the memo entirely.
+//   --index=on      (default) trapdoor memo: a repeated trapdoor is
+//                   answered from its memoized rows plus a scan of the
+//                   rows stored since, instead of an O(n) scan. Results
+//                   and observation logging are byte-identical either
+//                   way; off disables the memo entirely.
 //   --index-capacity=N  distinct trapdoors memoized per relation
-//                   (default 65536, 0 = unlimited). Bounds index memory
-//                   and per-append maintenance under heavy traffic; at
-//                   capacity new trapdoors keep scanning.
-//   --index-append-budget=N  trapdoor evaluations an append may spend
-//                   maintaining the memo (default 16384, 0 = unlimited);
-//                   entries beyond the budget are evicted, not served
-//                   stale. Raise for bulk-append workloads.
+//                   (default 65536, 0 = unlimited). Bounds memo memory;
+//                   at capacity new trapdoors keep scanning.
 //   --integrity=on  (default) result integrity: maintain per-relation
 //                   Merkle trees over the stored ciphertext and attach
 //                   a result proof to every select / fetch / delete
@@ -156,9 +151,8 @@ const char kUsage[] =
     "  --read-workers=N        dispatch workers; reads run off-lock (0 = inline)\n"
     "  --persist=DIR           continuous durability (WAL + snapshots)\n"
     "  --fsync=always|batch    WAL sync policy (with --persist)\n"
-    "  --index=on|off          trapdoor posting-list index (default on)\n"
+    "  --index=on|off          trapdoor memo (default on)\n"
     "  --index-capacity=N      memoized trapdoors per relation\n"
-    "  --index-append-budget=N index maintenance budget per append\n"
     "  --integrity=on|off      Merkle result proofs (default on)\n"
     "  --observation=full|aggregate  observation log mode\n"
     "  --metrics=on|off        metrics + query tracing (default on)\n"
@@ -217,8 +211,6 @@ int main(int argc, char** argv) {
                       &bad_value) ||
         ParseSizeFlag(argv[i], "--index-capacity=",
                       &runtime_options.max_indexed_trapdoors, &bad_value) ||
-        ParseSizeFlag(argv[i], "--index-append-budget=",
-                      &runtime_options.max_index_append_evals, &bad_value) ||
         ParseSizeFlag(argv[i], "--slow-query-ms=", &slow_query_ms,
                       &bad_value) ||
         ParseSizeFlag(argv[i], "--leakage-topk=",
