@@ -18,7 +18,9 @@
 //   --threads=N --batch=M --docs=K --rounds=R
 // skips google-benchmark and instead reports sequential-vs-parallel
 // batched select throughput as one JSON object on stdout (the seed for
-// tracking scan scalability across hardware).
+// tracking scan scalability across hardware). Each side repeats its
+// round for at least R rounds and one second, and reports completed
+// queries per elapsed second.
 //
 // Network mode: adding --network (with optional --clients=N) spins up an
 // epoll NetServer on a loopback ephemeral port and hammers it with N
@@ -39,11 +41,14 @@
 // planner work is speedup >= 10 at --docs=100000.
 //
 // Integrity mode: --integrity [--repeats=N] [--mutations=N] measures the
-// price of Merkle result proofs: select and insert throughput with
-// integrity off + VerifyMode::kOff (the PR-4 baseline) vs integrity on +
-// VerifyMode::kEnforce, over identical ciphertext, splitting server-side
-// proof generation from client-side verification; asserts verified
-// results match the baseline.
+// price of Merkle result proofs: select, insert and delete throughput
+// with integrity off + VerifyMode::kOff (the PR-4 baseline) vs integrity
+// on + VerifyMode::kEnforce, over identical ciphertext, splitting
+// server-side proof generation from client-side verification; asserts
+// verified results match the baseline and every delete removes its row.
+// Deletes come in two shapes: the inserted rows again, newest first
+// (each removes the last row), and a fixed sample of rows spread through
+// the table (each shifts every later row).
 //
 // Scan mode: --scan [--repeats=N] [--threads=N] seals one encrypted
 // relation with the server's own chunk code and times, in-process, the
@@ -450,35 +455,51 @@ int RunParallelBench(const ParallelBenchConfig& config) {
       seq.server.observations().queries().size() == queries.size() &&
       par.server.observations().queries().size() == queries.size();
 
-  // Timed rounds (best-of): sequential = one Select round trip per
-  // query; parallel = one SelectBatch round trip for all of them.
-  double seq_best = 0, par_best = 0;
-  for (size_t round = 0; round < config.rounds; ++round) {
+  // Timed phases: each side repeats its round (sequential = one Select
+  // round trip per query; parallel = one SelectBatch round trip for all
+  // of them) until it has run at least `rounds` rounds and
+  // kParallelPhaseSeconds have passed, and reports completed queries per
+  // elapsed second. A single round lasts a few tens of milliseconds —
+  // too short a window to tell the two sides apart.
+  constexpr double kParallelPhaseSeconds = 1.0;
+  const auto timed_phase = [&](const auto& round_trip, size_t* rounds_done,
+                               double* seconds) {
     Stopwatch timer;
-    for (const auto& [attribute, value] : queries) {
-      auto r = seq.client.Select("T", attribute, value);
-      if (!r.ok()) return 1;
-    }
-    double elapsed = timer.ElapsedSeconds();
-    if (round == 0 || elapsed < seq_best) seq_best = elapsed;
-  }
-  for (size_t round = 0; round < config.rounds; ++round) {
-    Stopwatch timer;
-    auto r = par.client.SelectBatch("T", queries);
-    if (!r.ok()) return 1;
-    double elapsed = timer.ElapsedSeconds();
-    if (round == 0 || elapsed < par_best) par_best = elapsed;
-  }
+    *rounds_done = 0;
+    do {
+      if (!round_trip()) return false;
+      ++*rounds_done;
+      *seconds = timer.ElapsedSeconds();
+    } while (*rounds_done < config.rounds || *seconds < kParallelPhaseSeconds);
+    return true;
+  };
+  size_t seq_rounds = 0, par_rounds = 0;
+  double seq_seconds = 0, par_seconds = 0;
+  const bool seq_ok = timed_phase(
+      [&] {
+        for (const auto& [attribute, value] : queries) {
+          if (!seq.client.Select("T", attribute, value).ok()) return false;
+        }
+        return true;
+      },
+      &seq_rounds, &seq_seconds);
+  const bool par_ok = timed_phase(
+      [&] { return par.client.SelectBatch("T", queries).ok(); }, &par_rounds,
+      &par_seconds);
+  if (!seq_ok || !par_ok) return 1;
 
-  double seq_qps = static_cast<double>(queries.size()) / seq_best;
-  double par_qps = static_cast<double>(queries.size()) / par_best;
+  double seq_qps =
+      static_cast<double>(seq_rounds * queries.size()) / seq_seconds;
+  double par_qps =
+      static_cast<double>(par_rounds * queries.size()) / par_seconds;
   std::printf(
       "{\"bench\":\"e6_parallel_batch\",\"docs\":%zu,\"threads\":%zu,"
-      "\"batch\":%zu,\"rounds\":%zu,\"seq_seconds\":%.6f,"
-      "\"par_seconds\":%.6f,\"seq_qps\":%.2f,\"par_qps\":%.2f,"
-      "\"speedup\":%.3f,\"results_match\":%s,\"per_query_log_entry\":%s}\n",
-      config.docs, threads, queries.size(), config.rounds, seq_best,
-      par_best, seq_qps, par_qps, seq_best / par_best,
+      "\"batch\":%zu,\"seq_rounds\":%zu,\"par_rounds\":%zu,"
+      "\"seq_seconds\":%.6f,\"par_seconds\":%.6f,\"seq_qps\":%.2f,"
+      "\"par_qps\":%.2f,\"speedup\":%.3f,\"results_match\":%s,"
+      "\"per_query_log_entry\":%s}\n",
+      config.docs, threads, queries.size(), seq_rounds, par_rounds,
+      seq_seconds, par_seconds, seq_qps, par_qps, par_qps / seq_qps,
       results_match ? "true" : "false", log_match ? "true" : "false");
   return (results_match && log_match) ? 0 : 1;
 }
@@ -1027,19 +1048,63 @@ int RunIntegrityBench(const ParallelBenchConfig& config) {
     if (!verified.client.Insert("T", {tuple}).ok()) return 1;
   }
   double verified_insert = verified_insert_timer.ElapsedSeconds();
+
+  // Deletes, two shapes, each row matched by its unique key:
+  //  - tail: the rows just inserted, newest first, so every delete
+  //    removes the last row (the row tree rehashes one spine);
+  //  - middle: a fixed sample of the outsourced rows spread through the
+  //    table, so every later position shifts down and both trees rehash
+  //    everything after the removed row.
+  // Every delete must remove exactly one row on both deployments.
+  bool deletes_ok = true;
+  std::vector<rel::Value> tail_keys;
+  for (size_t i = mutations; i-- > 0;) {
+    tail_keys.push_back(rel::Value::Str("m" + std::to_string(i)));
+  }
+  const size_t middle_count = std::min<size_t>({mutations, 50, config.docs});
+  std::vector<rel::Value> middle_keys;
+  for (size_t i = 0; i < middle_count; ++i) {
+    const size_t row = (2 * i + 1) * config.docs / (2 * middle_count);
+    middle_keys.push_back(rel::Value::Str("k" + std::to_string(row)));
+  }
+  const auto time_deletes = [&](E6Deployment& deployment,
+                                const std::vector<rel::Value>& keys) {
+    Stopwatch timer;
+    for (const rel::Value& key : keys) {
+      auto removed = deployment.client.DeleteWhere("T", "key", key);
+      if (!removed.ok() || *removed != 1) {
+        std::fprintf(stderr, "delete failed: %s\n",
+                     removed.ok() ? "not exactly one row"
+                                  : removed.status().ToString().c_str());
+        deletes_ok = false;
+      }
+    }
+    return static_cast<double>(keys.size()) / timer.ElapsedSeconds();
+  };
+  const double baseline_delete_tail = time_deletes(baseline, tail_keys);
+  const double verified_delete_tail = time_deletes(verified, tail_keys);
+  const double baseline_delete_middle = time_deletes(baseline, middle_keys);
+  const double verified_delete_middle = time_deletes(verified, middle_keys);
   std::printf(
       "{\"bench\":\"e6_integrity_mutation\",\"docs\":%zu,"
-      "\"mutations\":%zu,"
+      "\"mutations\":%zu,\"middle_deletes\":%zu,"
       "\"baseline_outsource_seconds\":%.6f,"
       "\"verified_outsource_seconds\":%.6f,"
       "\"baseline_insert_ops_per_sec\":%.2f,"
       "\"verified_insert_ops_per_sec\":%.2f,"
-      "\"insert_overhead_ratio\":%.4f}\n",
-      config.docs, mutations, baseline_outsource, verified_outsource,
-      static_cast<double>(mutations) / baseline_insert,
+      "\"insert_overhead_ratio\":%.4f,"
+      "\"baseline_delete_tail_ops_per_sec\":%.2f,"
+      "\"verified_delete_tail_ops_per_sec\":%.2f,"
+      "\"baseline_delete_middle_ops_per_sec\":%.2f,"
+      "\"verified_delete_middle_ops_per_sec\":%.2f,"
+      "\"deletes_match\":%s}\n",
+      config.docs, mutations, middle_count, baseline_outsource,
+      verified_outsource, static_cast<double>(mutations) / baseline_insert,
       static_cast<double>(mutations) / verified_insert,
-      verified_insert / baseline_insert);
-  return all_ok ? 0 : 1;
+      verified_insert / baseline_insert, baseline_delete_tail,
+      verified_delete_tail, baseline_delete_middle, verified_delete_middle,
+      deletes_ok ? "true" : "false");
+  return all_ok && deletes_ok ? 0 : 1;
 }
 
 // ------------- metrics overhead + lock-wait share (JSON mode) ----------------

@@ -240,30 +240,32 @@ run_matrix_stage() {
   #       provide it (AVX2 and AVX-512F always come from the attributes);
   #   (2) runtime dispatch: DBPH_SHA256_KERNEL forces each kernel —
   #       including the portable scalar fallback — through the full
-  #       HMAC vector suite, the batched-vs-scalar equivalence tests
-  #       and the chunk store's Scan-against-ScanReference property
-  #       test. Unsupported values fall back to the best supported
-  #       kernel, so the loop is safe on any host.
+  #       HMAC vector suite, the batched-vs-scalar equivalence tests,
+  #       the chunk store's Scan-against-ScanReference property test,
+  #       and the SHA-256, Merkle and search-tree suites (tree hashing
+  #       runs 16 nodes per Sha256CompressMany call, so every lane
+  #       kernel builds roots and proofs). Unsupported values fall back
+  #       to the best supported kernel, so the loop is safe on any host.
   local v2_dir="${BUILD_DIR}-v2"
   cmake -B "$v2_dir" -S . \
     -DCMAKE_CXX_FLAGS="-march=x86-64-v2"
-  cmake --build "$v2_dir" -j "$(nproc)" --target \
-    crypto_hmac_test swp_match_kernel_test snapshot_seal_test
-  local kernel
+  cmake --build "$v2_dir" -j "$(nproc)" --target $MATRIX_TESTS
+  local kernel test
   for kernel in portable sse41 avx2 shani avx512; do
     for dir in "$BUILD_DIR" "$v2_dir"; do
       [ -x "$dir/crypto_hmac_test" ] || continue
       echo "kernel matrix: DBPH_SHA256_KERNEL=$kernel in $dir"
-      DBPH_SHA256_KERNEL="$kernel" "$dir/crypto_hmac_test" \
-        --gtest_brief=1
-      DBPH_SHA256_KERNEL="$kernel" "$dir/swp_match_kernel_test" \
-        --gtest_brief=1
-      DBPH_SHA256_KERNEL="$kernel" "$dir/snapshot_seal_test" \
-        --gtest_brief=1
+      for test in $MATRIX_TESTS; do
+        DBPH_SHA256_KERNEL="$kernel" "$dir/$test" --gtest_brief=1
+      done
     done
   done
   echo "scan-kernel build matrix OK"
 }
+
+# The suites the kernel matrix runs under every DBPH_SHA256_KERNEL.
+MATRIX_TESTS="crypto_hmac_test swp_match_kernel_test snapshot_seal_test
+  crypto_sha256_test crypto_merkle_test crypto_search_tree_test"
 
 if [ "${DBPH_TSAN_ONLY:-0}" = "1" ]; then
   run_tsan_stage
@@ -275,8 +277,7 @@ if [ "${DBPH_ASAN_ONLY:-0}" = "1" ]; then
 fi
 if [ "${DBPH_MATRIX_ONLY:-0}" = "1" ]; then
   cmake -B "$BUILD_DIR" -S .
-  cmake --build "$BUILD_DIR" -j "$(nproc)" --target \
-    crypto_hmac_test swp_match_kernel_test snapshot_seal_test
+  cmake --build "$BUILD_DIR" -j "$(nproc)" --target $MATRIX_TESTS
   run_matrix_stage
   exit 0
 fi

@@ -10,45 +10,6 @@ namespace {
 
 constexpr size_t kBlock = Sha256::kBlockSize;
 
-void StoreDigestBE(const Sha256State& state, uint8_t out[32]) {
-  for (int i = 0; i < 8; ++i) {
-    out[4 * i] = static_cast<uint8_t>(state[i] >> 24);
-    out[4 * i + 1] = static_cast<uint8_t>(state[i] >> 16);
-    out[4 * i + 2] = static_cast<uint8_t>(state[i] >> 8);
-    out[4 * i + 3] = static_cast<uint8_t>(state[i]);
-  }
-}
-
-/// Absorbs `len` trailing message bytes into `state` (which has already
-/// compressed `prefix_bytes` whole blocks' worth of input), applies the
-/// FIPS 180-4 padding and writes the big-endian digest — all on the
-/// stack, no allocations.
-void FinishAbsorb(Sha256State* state, const uint8_t* data, size_t len,
-                  uint64_t prefix_bytes, uint8_t out[32]) {
-  const uint64_t total_bits = (prefix_bytes + len) * 8;
-  while (len >= kBlock) {
-    Sha256Compress(state, data);
-    data += kBlock;
-    len -= kBlock;
-  }
-  uint8_t block[kBlock];
-  if (len > 0) std::memcpy(block, data, len);  // data may be null when empty
-  block[len] = 0x80;
-  if (len + 9 > kBlock) {
-    // The length field does not fit: one padding-only extra block.
-    std::memset(block + len + 1, 0, kBlock - len - 1);
-    Sha256Compress(state, block);
-    std::memset(block, 0, kBlock - 8);
-  } else {
-    std::memset(block + len + 1, 0, kBlock - 8 - len - 1);
-  }
-  for (int i = 0; i < 8; ++i) {
-    block[kBlock - 8 + i] = static_cast<uint8_t>(total_bits >> (56 - 8 * i));
-  }
-  Sha256Compress(state, block);
-  StoreDigestBE(*state, out);
-}
-
 }  // namespace
 
 HmacSha256Precomputed::HmacSha256Precomputed(const uint8_t* key,
@@ -74,9 +35,9 @@ void HmacSha256Precomputed::Eval(const uint8_t* msg, size_t len,
                                  uint8_t out[kDigestSize]) const {
   uint8_t inner_digest[kDigestSize];
   Sha256State state = inner_;
-  FinishAbsorb(&state, msg, len, kBlock, inner_digest);
+  Sha256::FinishState(&state, msg, len, kBlock, inner_digest);
   state = outer_;
-  FinishAbsorb(&state, inner_digest, kDigestSize, kBlock, out);
+  Sha256::FinishState(&state, inner_digest, kDigestSize, kBlock, out);
 }
 
 Bytes HmacSha256Precomputed::Eval(const Bytes& msg) const {
@@ -108,9 +69,10 @@ void HmacSha256Precomputed::ExpandInto(const uint8_t* msg, size_t len,
     tail[tail_len + 2] = static_cast<uint8_t>(counter >> 8);
     tail[tail_len + 3] = static_cast<uint8_t>(counter);
     Sha256State state = prefix;
-    FinishAbsorb(&state, tail, tail_len + 4, kBlock + whole, inner_digest);
+    Sha256::FinishState(&state, tail, tail_len + 4, kBlock + whole,
+                        inner_digest);
     state = outer_;
-    FinishAbsorb(&state, inner_digest, kDigestSize, kBlock, t);
+    Sha256::FinishState(&state, inner_digest, kDigestSize, kBlock, t);
     const size_t take = std::min(kDigestSize, out_len - produced);
     std::memcpy(out + produced, t, take);
     produced += take;
@@ -165,7 +127,7 @@ void HmacSha256Precomputed::EvalMany(const uint8_t* const* msgs,
     // 0x80 and the length field all fit one block.
     for (size_t l = 0; l < lanes; ++l) {
       uint8_t* buf = scratch[l];
-      StoreDigestBE(states[l], buf);
+      Sha256::StoreDigest(states[l], buf);
       buf[kDigestSize] = 0x80;
       std::memset(buf + kDigestSize + 1, 0, kBlock - 8 - kDigestSize - 1);
       for (int i = 0; i < 8; ++i) {
@@ -176,7 +138,7 @@ void HmacSha256Precomputed::EvalMany(const uint8_t* const* msgs,
     }
     Sha256CompressMany(states, blocks, lanes);
     for (size_t l = 0; l < lanes; ++l) {
-      StoreDigestBE(states[l], out + (base + l) * kDigestSize);
+      Sha256::StoreDigest(states[l], out + (base + l) * kDigestSize);
     }
   }
 }
@@ -192,8 +154,8 @@ void HmacSha256Stream::FinishInto(
   uint8_t inner_digest[HmacSha256Precomputed::kDigestSize];
   inner_.FinishInto(inner_digest);
   Sha256State state = schedule_->outer_midstate();
-  FinishAbsorb(&state, inner_digest, HmacSha256Precomputed::kDigestSize,
-               kBlock, out);
+  Sha256::FinishState(&state, inner_digest,
+                      HmacSha256Precomputed::kDigestSize, kBlock, out);
 }
 
 Bytes HmacSha256Stream::Finish() {

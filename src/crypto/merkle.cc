@@ -1,28 +1,19 @@
 #include "crypto/merkle.h"
 
 #include <algorithm>
+#include <cassert>
+#include <cstring>
 
 #include "crypto/sha256.h"
 
 namespace dbph {
 namespace crypto {
 
-namespace {
-
-MerkleTree::Hash ToHash(const Bytes& digest) {
-  MerkleTree::Hash hash;
-  std::copy(digest.begin(), digest.end(), hash.begin());
-  return hash;
-}
-
-constexpr uint8_t kLeafDomain = 0x00;
-constexpr uint8_t kNodeDomain = 0x01;
-
-}  // namespace
-
 MerkleTree::Hash MerkleTree::EmptyRoot() {
   Sha256 sha;
-  return ToHash(sha.Finish());
+  Hash hash;
+  sha.FinishInto(hash.data());
+  return hash;
 }
 
 MerkleTree::Hash MerkleTree::LeafHash(const Bytes& data) {
@@ -39,74 +30,116 @@ MerkleTree::Hash MerkleTree::LeafHash(const uint8_t* data, size_t len) {
 
 Sha256 MerkleTree::LeafHasher() {
   Sha256 sha;
-  sha.Update(&kLeafDomain, 1);
+  const uint8_t domain = static_cast<uint8_t>(Domain::kLeaf);
+  sha.Update(&domain, 1);
   return sha;
 }
 
 MerkleTree::Hash MerkleTree::NodeHash(const Hash& left, const Hash& right) {
   Sha256 sha;
-  sha.Update(&kNodeDomain, 1);
+  const uint8_t domain = static_cast<uint8_t>(Domain::kNode);
+  sha.Update(&domain, 1);
   sha.Update(left.data(), left.size());
   sha.Update(right.data(), right.size());
-  return ToHash(sha.Finish());
+  Hash hash;
+  sha.FinishInto(hash.data());
+  return hash;
 }
 
-void MerkleTree::Assign(std::vector<Hash> leaves) {
-  levels_.clear();
-  if (leaves.empty()) return;
-  levels_.push_back(std::move(leaves));
-  RebuildInterior();
-}
-
-void MerkleTree::RebuildInterior() {
-  levels_.resize(1);
-  while (levels_.back().size() > 1) {
-    const std::vector<Hash>& below = levels_.back();
-    std::vector<Hash> above;
-    above.reserve((below.size() + 1) / 2);
-    for (size_t i = 0; i + 1 < below.size(); i += 2) {
-      above.push_back(NodeHash(below[i], below[i + 1]));
-    }
-    if (below.size() % 2 == 1) above.push_back(below.back());  // promote
-    levels_.push_back(std::move(above));
+void MerkleTree::HashPairs(Domain domain, const Hash* pairs, size_t n,
+                           Hash* out) {
+  constexpr size_t kBlock = Sha256::kBlockSize;
+  constexpr size_t kLanes = kSha256BatchLanes;
+  // Message i is domain | pairs[2i] | pairs[2i+1]: 65 bytes. Block one
+  // holds the domain byte and the first 63 bytes of the pair; block two
+  // the pair's last byte, 0x80, zeros and the bit length 65 * 8 = 0x208.
+  uint8_t first[kLanes][kBlock];
+  uint8_t second[kLanes][kBlock] = {};
+  for (size_t l = 0; l < kLanes; ++l) {
+    first[l][0] = static_cast<uint8_t>(domain);
+    second[l][1] = 0x80;
+    second[l][kBlock - 2] = 0x02;
+    second[l][kBlock - 1] = 0x08;
   }
+  Sha256State states[kLanes];
+  const uint8_t* blocks[kLanes];
+  for (size_t base = 0; base < n; base += kLanes) {
+    const size_t lanes = std::min(kLanes, n - base);
+    for (size_t l = 0; l < lanes; ++l) {
+      const uint8_t* left = pairs[2 * (base + l)].data();
+      const uint8_t* right = pairs[2 * (base + l) + 1].data();
+      std::memcpy(first[l] + 1, left, 32);
+      std::memcpy(first[l] + 33, right, 31);
+      second[l][0] = right[31];
+      states[l] = Sha256InitialState();
+      blocks[l] = first[l];
+    }
+    Sha256CompressMany(states, blocks, lanes);
+    for (size_t l = 0; l < lanes; ++l) blocks[l] = second[l];
+    Sha256CompressMany(states, blocks, lanes);
+    for (size_t l = 0; l < lanes; ++l) {
+      Sha256::StoreDigest(states[l], out[base + l].data());
+    }
+  }
+}
+
+void MerkleTree::ReplaceLeaves(std::vector<Hash> leaves,
+                               size_t first_changed) {
+  // Only leaves the old tree had can keep their subtrees.
+  first_changed = std::min({first_changed, size(), leaves.size()});
+  assert(std::equal(leaves.begin(), leaves.begin() + first_changed,
+                    levels_.empty() ? leaves.begin() : levels_[0].begin()));
+  if (levels_.empty()) levels_.emplace_back();
+  levels_[0] = std::move(leaves);
+  RehashFrom(first_changed);
 }
 
 void MerkleTree::AppendLeaf(const Hash& leaf) {
   if (levels_.empty()) levels_.emplace_back();
   levels_[0].push_back(leaf);
-  // Only the right spine changes: at each level exactly one parent — the
-  // last — covers the new leaf.
-  size_t level = 0;
-  while (levels_[level].size() > 1) {
-    size_t parent_count = (levels_[level].size() + 1) / 2;
-    if (level + 1 == levels_.size()) levels_.emplace_back();
-    levels_[level + 1].resize(parent_count);
-    size_t p = parent_count - 1;
-    const std::vector<Hash>& below = levels_[level];
-    levels_[level + 1][p] = (2 * p + 1 < below.size())
-                                ? NodeHash(below[2 * p], below[2 * p + 1])
-                                : below[2 * p];
-    ++level;
-  }
+  RehashFrom(levels_[0].size() - 1);
 }
 
 void MerkleTree::RemoveSorted(const std::vector<uint64_t>& positions) {
   if (positions.empty() || levels_.empty()) return;
-  std::vector<Hash> kept;
-  kept.reserve(levels_[0].size() - positions.size());
+  // Close the gaps in place: the leaves before positions.front() stay.
+  std::vector<Hash>& leaves = levels_[0];
+  const size_t first = std::min<uint64_t>(positions.front(), leaves.size());
+  size_t kept = first;
   size_t next = 0;
-  for (size_t i = 0; i < levels_[0].size(); ++i) {
+  for (size_t i = first; i < leaves.size(); ++i) {
     if (next < positions.size() && positions[next] == i) {
       ++next;
       continue;
     }
-    kept.push_back(levels_[0][i]);
+    leaves[kept++] = leaves[i];
   }
-  levels_.clear();
-  if (kept.empty()) return;
-  levels_.push_back(std::move(kept));
-  RebuildInterior();
+  leaves.resize(kept);
+  RehashFrom(first);
+}
+
+void MerkleTree::RehashFrom(size_t first) {
+  for (size_t level = 0;; ++level) {
+    const size_t width = levels_[level].size();
+    if (width <= 1) {
+      levels_.resize(width == 0 ? 0 : level + 1);
+      return;
+    }
+    if (level + 1 == levels_.size()) levels_.emplace_back();
+    const std::vector<Hash>& below = levels_[level];
+    std::vector<Hash>& above = levels_[level + 1];
+    above.resize((width + 1) / 2);
+    // Parent p covers nodes 2p and 2p + 1: the first one to redo is the
+    // parent of `first`.
+    const size_t parent = first / 2;
+    const size_t pairs = width / 2;
+    if (parent < pairs) {
+      HashPairs(Domain::kNode, &below[2 * parent], pairs - parent,
+                &above[parent]);
+    }
+    if (width % 2 == 1) above.back() = below.back();  // promote
+    first = parent;
+  }
 }
 
 void MerkleTree::Clear() { levels_.clear(); }

@@ -4,6 +4,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
@@ -26,11 +27,12 @@ namespace crypto {
 /// therefore has a unique root per (n, leaf sequence), and the root of
 /// the empty tree is the defined constant EmptyRoot() = SHA-256("").
 ///
-/// All interior levels are cached, so Root() is O(1), AppendLeaf updates
-/// only the right spine (O(log n) hashes), and proof generation collects
-/// existing node hashes without rehashing anything. Removing leaves
-/// (RemoveSorted) rebuilds the interior in O(n) — deletions already cost
-/// a full scan in the server, so the tree never dominates them.
+/// All interior levels are cached, so Root() is O(1) and proof
+/// generation collects existing node hashes without rehashing anything.
+/// Every mutator ends in one interior rehash (RehashFrom) from the first
+/// changed leaf to the right edge, 16 nodes per batched compression
+/// call: AppendLeaf and removing trailing leaves cost O(log n) hashes,
+/// removing or replacing leaf i about n - i.
 ///
 /// Proofs:
 ///  - InclusionProof(i): the classic sibling path for one leaf.
@@ -49,6 +51,9 @@ class MerkleTree {
  public:
   using Hash = std::array<uint8_t, 32>;
 
+  /// The one-byte prefix that separates leaf from interior hashes.
+  enum class Domain : uint8_t { kLeaf = 0x00, kNode = 0x01 };
+
   /// SHA-256(""): the root of a tree with no leaves.
   static Hash EmptyRoot();
   /// Leaf domain: SHA-256(0x00 | data).
@@ -61,16 +66,35 @@ class MerkleTree {
   /// Interior domain: SHA-256(0x01 | left | right).
   static Hash NodeHash(const Hash& left, const Hash& right);
 
+  /// \brief The batched 65-byte hash: out[i] = SHA-256(domain |
+  /// pairs[2i] | pairs[2i+1]) for i < n, so Domain::kNode gives n
+  /// NodeHash results and Domain::kLeaf n LeafHash(left | right) results.
+  /// Such a message is exactly two blocks, the second constant except
+  /// its first byte; both go through Sha256CompressMany
+  /// kSha256BatchLanes messages at a time. No heap.
+  static void HashPairs(Domain domain, const Hash* pairs, size_t n,
+                        Hash* out);
+
   MerkleTree() = default;
 
-  /// Rebuilds the whole tree from `leaves` (already leaf-hashed).
-  void Assign(std::vector<Hash> leaves);
+  /// Builds the whole tree from `leaves` (already leaf-hashed).
+  void Assign(std::vector<Hash> leaves) {
+    ReplaceLeaves(std::move(leaves), 0);
+  }
 
-  /// Appends one leaf hash, updating the right spine only.
+  /// \brief Replaces the leaf sequence with `leaves`, whose first
+  /// `first_changed` hashes must equal the current leaves at those
+  /// indices (the caller's promise, asserted in debug builds). Only
+  /// nodes covering a leaf at or after `first_changed` are rehashed.
+  void ReplaceLeaves(std::vector<Hash> leaves, size_t first_changed);
+
+  /// Appends one leaf hash; only the right spine is rehashed.
   void AppendLeaf(const Hash& leaf);
 
-  /// Removes the leaves at `positions` (strictly increasing, in range)
-  /// and rebuilds the interior over the survivors.
+  /// Removes the leaves at `positions` (strictly increasing, in range).
+  /// Survivors before positions.front() keep their place and their
+  /// subtrees; the interior is rehashed from there on, so removing the
+  /// last leaves costs O(log n).
   void RemoveSorted(const std::vector<uint64_t>& positions);
 
   void Clear();
@@ -116,7 +140,10 @@ class MerkleTree {
   /// levels_[0] = leaves, levels_.back() = {root} (absent when empty).
   std::vector<std::vector<Hash>> levels_;
 
-  void RebuildInterior();
+  /// The one interior rehash: with levels_[0] final, recomputes every
+  /// node that covers a leaf at or after `first` (each node before it
+  /// keeps its cached hash) and drops levels above the new root.
+  void RehashFrom(size_t first);
 };
 
 }  // namespace crypto

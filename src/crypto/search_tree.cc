@@ -1,6 +1,7 @@
 #include "crypto/search_tree.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "common/macros.h"
@@ -77,7 +78,9 @@ Status SearchTree::Assign(std::vector<Entry> entries,
     }
   }
   entries_ = std::move(entries);
-  Rebuild();
+  std::vector<size_t> all(entries_.size());
+  std::iota(all.begin(), all.end(), size_t{0});
+  Rehash(std::vector<Hash>(entries_.size()), all, 0);
   return Status::OK();
 }
 
@@ -107,15 +110,25 @@ Status SearchTree::ApplyAppendDelta(const std::vector<Entry>& delta,
   // Sorted merge; appended positions are all >= begin_position and every
   // committed position is below it (the invariant Assign enforces and
   // ApplyDelete preserves), so a merged list stays strictly increasing.
+  // An entry the delta misses keeps its list and so its cached leaf.
   std::vector<Entry> merged;
+  std::vector<Hash> leaves;
+  std::vector<size_t> changed;
   merged.reserve(entries_.size() + delta.size());
+  leaves.reserve(entries_.size() + delta.size());
+  changed.reserve(delta.size());
   size_t a = 0;
   size_t b = 0;
   while (a < entries_.size() || b < delta.size()) {
     if (b == delta.size() ||
         (a < entries_.size() && entries_[a].tag < delta[b].tag)) {
+      leaves.push_back(tree_.leaf(a));
       merged.push_back(std::move(entries_[a++]));
-    } else if (a == entries_.size() || delta[b].tag < entries_[a].tag) {
+      continue;
+    }
+    changed.push_back(merged.size());
+    leaves.emplace_back();
+    if (a == entries_.size() || delta[b].tag < entries_[a].tag) {
       merged.push_back(delta[b++]);
     } else {
       Entry entry = std::move(entries_[a++]);
@@ -127,15 +140,32 @@ Status SearchTree::ApplyAppendDelta(const std::vector<Entry>& delta,
     }
   }
   entries_ = std::move(merged);
-  Rebuild();
+  const size_t first_changed =
+      changed.empty() ? entries_.size() : changed.front();
+  Rehash(std::move(leaves), changed, first_changed);
   return Status::OK();
 }
 
 void SearchTree::ApplyDelete(const std::vector<uint64_t>& removed_positions) {
   if (removed_positions.empty()) return;
   std::vector<Entry> kept;
+  std::vector<Hash> leaves;
+  std::vector<size_t> changed;
   kept.reserve(entries_.size());
-  for (Entry& entry : entries_) {
+  leaves.reserve(entries_.size());
+  // The first index whose leaf changed or moved (a dropped entry shifts
+  // every later one down).
+  size_t first_changed = entries_.size();
+  for (size_t i = 0; i < entries_.size(); ++i) {
+    Entry& entry = entries_[i];
+    // Positions below the lowest removed one neither leave nor shift, so
+    // a list that ends below it keeps its digest and its cached leaf.
+    if (entry.positions.back() < removed_positions.front()) {
+      leaves.push_back(tree_.leaf(i));
+      kept.push_back(std::move(entry));
+      continue;
+    }
+    first_changed = std::min(first_changed, kept.size());
     std::vector<uint64_t> survivors;
     survivors.reserve(entry.positions.size());
     for (uint64_t position : entry.positions) {
@@ -148,10 +178,12 @@ void SearchTree::ApplyDelete(const std::vector<uint64_t>& removed_positions) {
     }
     if (survivors.empty()) continue;
     entry.positions = std::move(survivors);
+    changed.push_back(kept.size());
+    leaves.emplace_back();
     kept.push_back(std::move(entry));
   }
   entries_ = std::move(kept);
-  Rebuild();
+  Rehash(std::move(leaves), changed, first_changed);
 }
 
 void SearchTree::Clear() {
@@ -265,13 +297,22 @@ Status SearchTree::VerifyNonMember(const Hash& root, uint64_t tree_size,
   return Status::DataLoss("non-membership: wrong neighbor count");
 }
 
-void SearchTree::Rebuild() {
-  std::vector<Hash> leaves;
-  leaves.reserve(entries_.size());
-  for (const Entry& entry : entries_) {
-    leaves.push_back(EntryLeaf(entry.tag, PostingDigest(entry.positions)));
+void SearchTree::Rehash(std::vector<Hash> leaves,
+                        const std::vector<size_t>& changed,
+                        size_t first_changed) {
+  // A changed leaf is EntryLeaf(tag, posting digest): the leaf-domain
+  // hash of one 64-byte pair, batched through HashPairs.
+  std::vector<Hash> pairs(2 * changed.size());
+  for (size_t i = 0; i < changed.size(); ++i) {
+    const Entry& entry = entries_[changed[i]];
+    pairs[2 * i] = entry.tag;
+    pairs[2 * i + 1] = PostingDigest(entry.positions);
   }
-  tree_.Assign(std::move(leaves));
+  std::vector<Hash> hashed(changed.size());
+  MerkleTree::HashPairs(MerkleTree::Domain::kLeaf, pairs.data(),
+                        changed.size(), hashed.data());
+  for (size_t i = 0; i < changed.size(); ++i) leaves[changed[i]] = hashed[i];
+  tree_.ReplaceLeaves(std::move(leaves), first_changed);
 }
 
 }  // namespace crypto

@@ -36,10 +36,14 @@ namespace crypto {
 /// bootstraps from a signed dump (SyncIntegrity) re-checks it once and
 /// can then trust adjacency forever.
 ///
-/// Complexity: every mutator rebuilds the interior in O(#tags) hashes —
-/// mutations already pay O(n) in the server (full-scan deletes, the row
-/// tree copy), so the search tree never dominates them. The select-path
-/// costs are the ones that matter and they are O(log #tags) per proof.
+/// Complexity: a mutator recomputes the leaf of each entry whose posting
+/// list changed (one PostingDigest, then EntryLeaf 16 at a time) and
+/// rehashes the interior from the first entry that changed or moved;
+/// every other entry keeps its cached leaf. A new tag or an emptied
+/// entry moves every entry after it, and a delete changes every list
+/// holding a position above the lowest removed one (they shift down),
+/// so a mutation still costs O(#tags) node hashes in the worst case.
+/// Select-path proofs cost O(log #tags) each.
 class SearchTree {
  public:
   using Hash = MerkleTree::Hash;
@@ -97,7 +101,7 @@ class SearchTree {
   /// verified delete-manifest positions (strictly increasing): deleted
   /// positions leave every posting list, surviving positions shift down
   /// by the number of deletions below them, entries with emptied lists
-  /// are dropped. No-op (no rebuild) for an empty removal.
+  /// are dropped. No-op for an empty removal.
   void ApplyDelete(const std::vector<uint64_t>& removed_positions);
 
   void Clear();
@@ -140,12 +144,17 @@ class SearchTree {
                                 const std::vector<Neighbor>& neighbors);
 
  private:
-  void Rebuild();
+  /// Installs `leaves` as the tree's leaf sequence after computing the
+  /// entries at `changed` (ascending) from entries_; the tree rehashes
+  /// its interior from `first_changed` on.
+  void Rehash(std::vector<Hash> leaves, const std::vector<size_t>& changed,
+              size_t first_changed);
 
   /// Sorted by tag, strictly increasing; positions_ strictly increasing
   /// within each entry.
   std::vector<Entry> entries_;
-  /// Derived: leaf i = EntryLeaf(entries_[i]).
+  /// Derived: leaf i = EntryLeaf(entries_[i]), kept across mutations for
+  /// every entry whose posting list did not change.
   MerkleTree tree_;
 };
 

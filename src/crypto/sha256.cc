@@ -51,24 +51,46 @@ void Sha256::Update(const uint8_t* data, size_t len) {
   }
 }
 
-void Sha256::FinishInto(uint8_t out[kDigestSize]) {
-  uint64_t bit_len = total_len_ * 8;
-  uint8_t pad = 0x80;
-  Update(&pad, 1);
-  uint8_t zero = 0x00;
-  while (buffer_len_ != 56) Update(&zero, 1);
-  uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
+void Sha256::FinishState(Sha256State* state, const uint8_t* data,
+                         size_t len, uint64_t prefix_bytes,
+                         uint8_t out[kDigestSize]) {
+  const uint64_t total_bits = (prefix_bytes + len) * 8;
+  while (len >= kBlockSize) {
+    Sha256Compress(state, data);
+    data += kBlockSize;
+    len -= kBlockSize;
   }
-  Update(len_be, 8);
+  uint8_t block[kBlockSize];
+  if (len > 0) std::memcpy(block, data, len);  // data may be null when empty
+  block[len] = 0x80;
+  if (len + 9 > kBlockSize) {
+    // The length field does not fit: one padding-only extra block.
+    std::memset(block + len + 1, 0, kBlockSize - len - 1);
+    Sha256Compress(state, block);
+    std::memset(block, 0, kBlockSize - 8);
+  } else {
+    std::memset(block + len + 1, 0, kBlockSize - 8 - len - 1);
+  }
+  for (int i = 0; i < 8; ++i) {
+    block[kBlockSize - 8 + i] =
+        static_cast<uint8_t>(total_bits >> (56 - 8 * i));
+  }
+  Sha256Compress(state, block);
+  StoreDigest(*state, out);
+}
 
+void Sha256::StoreDigest(const Sha256State& state, uint8_t out[kDigestSize]) {
   for (int i = 0; i < 8; ++i) {
-    out[4 * i] = static_cast<uint8_t>(state_[i] >> 24);
-    out[4 * i + 1] = static_cast<uint8_t>(state_[i] >> 16);
-    out[4 * i + 2] = static_cast<uint8_t>(state_[i] >> 8);
-    out[4 * i + 3] = static_cast<uint8_t>(state_[i]);
+    out[4 * i] = static_cast<uint8_t>(state[i] >> 24);
+    out[4 * i + 1] = static_cast<uint8_t>(state[i] >> 16);
+    out[4 * i + 2] = static_cast<uint8_t>(state[i] >> 8);
+    out[4 * i + 3] = static_cast<uint8_t>(state[i]);
   }
+}
+
+void Sha256::FinishInto(uint8_t out[kDigestSize]) {
+  FinishState(&state_, buffer_.data(), buffer_len_, total_len_ - buffer_len_,
+              out);
 }
 
 Bytes Sha256::Finish() {

@@ -38,6 +38,20 @@ class Sha256 {
   /// Finish() without the heap: writes the digest into `out`.
   void FinishInto(uint8_t out[kDigestSize]);
 
+  /// \brief Finishes a digest straight from a chaining state. `state` has
+  /// compressed the first `prefix_bytes` bytes of the message (a multiple
+  /// of kBlockSize); this absorbs the remaining `len` bytes, then writes
+  /// the 0x80 byte, the zero fill and the bit length into one block (two
+  /// when the length field does not fit after the tail) and compresses
+  /// it, with no per-byte work and no heap. FinishInto and the HMAC
+  /// evaluators all end here.
+  static void FinishState(Sha256State* state, const uint8_t* data,
+                          size_t len, uint64_t prefix_bytes,
+                          uint8_t out[kDigestSize]);
+
+  /// Writes `state` out as a big-endian digest.
+  static void StoreDigest(const Sha256State& state, uint8_t out[kDigestSize]);
+
   /// Restores the pristine state.
   void Reset();
 

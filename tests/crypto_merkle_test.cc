@@ -78,26 +78,149 @@ TEST(MerkleTreeTest, DistinctLeafSequencesHaveDistinctRoots) {
   EXPECT_NE(three.Root(), four.Root());
 }
 
-TEST(MerkleTreeTest, RemoveSortedMatchesRebuildOfSurvivors) {
-  std::vector<Hash> leaves = MakeLeaves(17);
-  MerkleTree tree;
-  tree.Assign(leaves);
-  std::vector<uint64_t> removed = {0, 3, 4, 11, 16};
-  tree.RemoveSorted(removed);
-
-  std::vector<Hash> survivors;
-  size_t next = 0;
+/// The incremental tree must commit to exactly what a from-scratch
+/// Assign of `leaves` commits to: same size, root and inclusion proof
+/// for every leaf. The root is also checked against a fold of all the
+/// leaves through scalar NodeHash (RootFromSubset over the full range),
+/// which shares no code with the batched rehash.
+void ExpectSameAsFreshAssign(const MerkleTree& tree,
+                             const std::vector<Hash>& leaves) {
+  MerkleTree fresh;
+  fresh.Assign(leaves);
+  ASSERT_EQ(tree.size(), leaves.size());
+  ASSERT_EQ(tree.Root(), fresh.Root());
+  std::vector<uint64_t> all(leaves.size());
+  for (size_t i = 0; i < all.size(); ++i) all[i] = i;
+  auto folded = MerkleTree::RootFromSubset(leaves.size(), all, leaves, {});
+  ASSERT_TRUE(folded.ok()) << folded.status();
+  ASSERT_EQ(tree.Root(), *folded);
   for (size_t i = 0; i < leaves.size(); ++i) {
-    if (next < removed.size() && removed[next] == i) {
-      ++next;
-      continue;
-    }
-    survivors.push_back(leaves[i]);
+    ASSERT_EQ(tree.leaf(i), leaves[i]) << "leaf " << i;
+    ASSERT_EQ(tree.InclusionProof(i), fresh.InclusionProof(i)) << "leaf " << i;
   }
-  MerkleTree rebuilt;
-  rebuilt.Assign(survivors);
-  EXPECT_EQ(tree.size(), survivors.size());
-  EXPECT_EQ(tree.Root(), rebuilt.Root());
+}
+
+TEST(MerkleTreeTest, HashPairsMatchesScalarHashesAtEveryWidth) {
+  // Widths 1..40 cover every remainder of the 16-, 8-, 4- and 2-lane
+  // kernels, plus whole passes.
+  for (size_t n = 1; n <= 40; ++n) {
+    std::vector<Hash> pairs = MakeLeaves(2 * n);
+    std::vector<Hash> nodes(n);
+    std::vector<Hash> leaves(n);
+    MerkleTree::HashPairs(MerkleTree::Domain::kNode, pairs.data(), n,
+                          nodes.data());
+    MerkleTree::HashPairs(MerkleTree::Domain::kLeaf, pairs.data(), n,
+                          leaves.data());
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(nodes[i], MerkleTree::NodeHash(pairs[2 * i], pairs[2 * i + 1]))
+          << "n=" << n << " i=" << i;
+      Bytes concat(pairs[2 * i].begin(), pairs[2 * i].end());
+      concat.insert(concat.end(), pairs[2 * i + 1].begin(),
+                    pairs[2 * i + 1].end());
+      EXPECT_EQ(leaves[i], MerkleTree::LeafHash(concat))
+          << "n=" << n << " i=" << i;
+    }
+  }
+}
+
+TEST(MerkleTreeTest, ReplaceLeavesRehashesFromTheFirstChange) {
+  // Keep a random prefix, replace the rest with a tail of random length
+  // (growing, shrinking or emptying the tree): the result must equal a
+  // fresh Assign of the new sequence.
+  crypto::HmacDrbg rng("merkle-replace", 31);
+  size_t next_label = 0;
+  std::vector<Hash> model;
+  MerkleTree tree;
+  for (int step = 0; step < 300; ++step) {
+    const bool empty = step % 50 == 49;
+    const size_t keep = empty ? 0 : rng.NextBelow(model.size() + 1);
+    const size_t tail = empty ? 0 : rng.NextBelow(40);
+    std::vector<Hash> leaves(model.begin(),
+                             model.begin() + static_cast<ptrdiff_t>(keep));
+    for (size_t i = 0; i < tail && leaves.size() < 70; ++i) {
+      leaves.push_back(
+          MerkleTree::LeafHash(ToBytes("r-" + std::to_string(next_label++))));
+    }
+    model = leaves;
+    tree.ReplaceLeaves(std::move(leaves), keep);
+    ASSERT_NO_FATAL_FAILURE(ExpectSameAsFreshAssign(tree, model))
+        << "step " << step;
+  }
+}
+
+TEST(MerkleTreeTest, RemoveSortedMatchesRebuildOfSurvivors) {
+  {
+    std::vector<Hash> leaves = MakeLeaves(17);
+    MerkleTree tree;
+    tree.Assign(leaves);
+    std::vector<uint64_t> removed = {0, 3, 4, 11, 16};
+    tree.RemoveSorted(removed);
+
+    std::vector<Hash> survivors;
+    size_t next = 0;
+    for (size_t i = 0; i < leaves.size(); ++i) {
+      if (next < removed.size() && removed[next] == i) {
+        ++next;
+        continue;
+      }
+      survivors.push_back(leaves[i]);
+    }
+    MerkleTree rebuilt;
+    rebuilt.Assign(survivors);
+    EXPECT_EQ(tree.size(), survivors.size());
+    EXPECT_EQ(tree.Root(), rebuilt.Root());
+  }
+
+  // Random append/remove sequences. Sizes wander over 0..70, so odd
+  // widths, promoted nodes and a level count that grows and shrinks all
+  // occur. Removals take the first row, the last row, runs of rows (the
+  // tail among them), scattered rows and every row.
+  crypto::HmacDrbg rng("merkle-append-remove", 29);
+  size_t next_label = 0;
+  const auto fresh_leaf = [&] {
+    return MerkleTree::LeafHash(ToBytes("row-" + std::to_string(next_label++)));
+  };
+  for (int trial = 0; trial < 6; ++trial) {
+    MerkleTree tree;
+    std::vector<Hash> model;
+    for (int step = 0; step < 120; ++step) {
+      const uint64_t kind = model.empty() ? 0 : rng.NextBelow(7);
+      std::vector<uint64_t> removed;
+      if (kind <= 1) {
+        // Append a burst, never past 70 leaves.
+        const uint64_t burst = 1 + rng.NextBelow(9);
+        for (uint64_t i = 0; i < burst && model.size() < 70; ++i) {
+          model.push_back(fresh_leaf());
+          tree.AppendLeaf(model.back());
+        }
+      } else if (kind == 2) {
+        removed = {0};
+      } else if (kind == 3) {
+        removed = {model.size() - 1};
+      } else if (kind == 4) {
+        // A run; half the time it ends at the last row.
+        const uint64_t begin = rng.NextBelow(model.size());
+        const uint64_t end =
+            rng.NextBool() ? model.size()
+                           : begin + 1 + rng.NextBelow(model.size() - begin);
+        for (uint64_t i = begin; i < end; ++i) removed.push_back(i);
+      } else if (kind == 5) {
+        for (uint64_t i = 0; i < model.size(); ++i) {
+          if (rng.NextBelow(4) == 0) removed.push_back(i);
+        }
+      } else if (rng.NextBelow(4) == 0) {
+        for (uint64_t i = 0; i < model.size(); ++i) removed.push_back(i);
+      }
+      if (!removed.empty()) {
+        tree.RemoveSorted(removed);
+        for (size_t i = removed.size(); i-- > 0;) {
+          model.erase(model.begin() + static_cast<ptrdiff_t>(removed[i]));
+        }
+      }
+      ASSERT_NO_FATAL_FAILURE(ExpectSameAsFreshAssign(tree, model))
+          << "trial " << trial << " step " << step;
+    }
+  }
 }
 
 TEST(MerkleTreeTest, InclusionProofsVerifyForEveryLeafAtEverySize) {

@@ -53,8 +53,9 @@ std::vector<Entry> ModelEntries(const Model& model) {
 }
 
 /// The tree must equal the model entry for entry, stay strictly sorted,
-/// and carry the same root a from-scratch Assign of the model would —
-/// i.e. incremental edits and bulk rebuild commit to identical state.
+/// and carry the same root and membership paths a from-scratch Assign of
+/// the model would — i.e. incremental edits (which keep the cached leaf
+/// of every untouched entry) and bulk rebuild commit to identical state.
 void ExpectTreeMatchesModel(const SearchTree& tree, const Model& model,
                             uint64_t num_positions) {
   ASSERT_EQ(tree.size(), model.size());
@@ -70,6 +71,9 @@ void ExpectTreeMatchesModel(const SearchTree& tree, const Model& model,
   SearchTree bulk;
   ASSERT_TRUE(bulk.Assign(ModelEntries(model), num_positions).ok());
   EXPECT_EQ(tree.Root(), bulk.Root());
+  for (size_t j = 0; j < tree.size(); ++j) {
+    ASSERT_EQ(tree.MembershipPath(j), bulk.MembershipPath(j)) << "entry " << j;
+  }
 }
 
 /// Every committed entry must prove membership against the root, and the
@@ -120,8 +124,11 @@ void ExpectNonMembershipProofsVerify(const SearchTree& tree,
 }
 
 /// One random edit: an append delta (fresh position range, mix of new
-/// and already-present tags) or a delete (random sorted position
-/// subset), applied to tree and model alike.
+/// and already-present tags) or a delete, applied to tree and model
+/// alike. A delete removes a random position subset, every position of
+/// the first or of the last entry (emptying it, so every later entry
+/// moves), or the newest rows (the tail case, where entries whose lists
+/// end below the cut keep their cached leaves).
 void RandomEdit(SearchTree* tree, Model* model, uint64_t* num_positions,
                 crypto::Rng* rng) {
   const bool append = model->empty() || *num_positions == 0 || rng->NextBool();
@@ -153,8 +160,27 @@ void RandomEdit(SearchTree* tree, Model* model, uint64_t* num_positions,
   }
 
   std::vector<uint64_t> removed;
-  for (uint64_t position = 0; position < *num_positions; ++position) {
-    if (rng->NextBelow(4) == 0) removed.push_back(position);
+  switch (rng->NextBelow(4)) {
+    case 0:
+      for (uint64_t position = 0; position < *num_positions; ++position) {
+        if (rng->NextBelow(4) == 0) removed.push_back(position);
+      }
+      break;
+    case 1:
+      removed = model->begin()->second;
+      break;
+    case 2:
+      removed = model->rbegin()->second;
+      break;
+    default: {
+      const uint64_t count =
+          1 + rng->NextBelow(std::min<uint64_t>(3, *num_positions));
+      for (uint64_t position = *num_positions - count;
+           position < *num_positions; ++position) {
+        removed.push_back(position);
+      }
+      break;
+    }
   }
   tree->ApplyDelete(removed);
   Model survivors;
@@ -235,11 +261,11 @@ TEST(SearchTreeTest, RandomEditSequencesTrackTheModel) {
   // interleaved appends and deletes from empty, with full proof checks
   // at every committed state.
   crypto::HmacDrbg rng("search-tree-edits", 23);
-  for (int trial = 0; trial < 4; ++trial) {
+  for (int trial = 0; trial < 8; ++trial) {
     SearchTree tree;
     Model model;
     uint64_t num_positions = 0;
-    for (int op = 0; op < 32; ++op) {
+    for (int op = 0; op < 48; ++op) {
       RandomEdit(&tree, &model, &num_positions, &rng);
       ASSERT_NO_FATAL_FAILURE(
           ExpectTreeMatchesModel(tree, model, num_positions))

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/bytes.h"
+#include "crypto/hmac.h"
 
 namespace dbph {
 namespace crypto {
@@ -10,6 +11,53 @@ namespace {
 
 std::string HashHex(const std::string& msg) {
   return HexEncode(Sha256::Hash(ToBytes(msg)));
+}
+
+/// FIPS 180-4 spelled out with nothing but the compression function:
+/// msg | 0x80 | zeros to 56 mod 64 | 64-bit big-endian bit length, folded
+/// block by block from `state` (which has absorbed `prefix_bytes` bytes).
+Bytes ReferenceDigest(const Bytes& msg,
+                      Sha256State state = Sha256InitialState(),
+                      uint64_t prefix_bytes = 0) {
+  Bytes padded = msg;
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0x00);
+  const uint64_t bits = (prefix_bytes + msg.size()) * 8;
+  for (int i = 7; i >= 0; --i) {
+    padded.push_back(static_cast<uint8_t>(bits >> (8 * i)));
+  }
+  for (size_t off = 0; off < padded.size(); off += 64) {
+    Sha256Compress(&state, padded.data() + off);
+  }
+  Bytes digest;
+  for (uint32_t word : state) {
+    for (int shift = 24; shift >= 0; shift -= 8) {
+      digest.push_back(static_cast<uint8_t>(word >> shift));
+    }
+  }
+  return digest;
+}
+
+/// A message whose bytes differ by position, so a misplaced byte shows.
+Bytes PatternMessage(size_t len) {
+  Bytes msg(len);
+  for (size_t i = 0; i < len; ++i) msg[i] = static_cast<uint8_t>(i * 7 + 1);
+  return msg;
+}
+
+/// HMAC-SHA256 (RFC 2104) from the reference digest alone.
+Bytes ReferenceHmac(const Bytes& key, const Bytes& msg) {
+  Bytes k = key.size() > 64 ? ReferenceDigest(key) : key;
+  k.resize(64, 0x00);
+  Bytes inner(64), outer(64);
+  for (size_t i = 0; i < 64; ++i) {
+    inner[i] = k[i] ^ 0x36;
+    outer[i] = k[i] ^ 0x5c;
+  }
+  inner.insert(inner.end(), msg.begin(), msg.end());
+  Bytes inner_digest = ReferenceDigest(inner);
+  outer.insert(outer.end(), inner_digest.begin(), inner_digest.end());
+  return ReferenceDigest(outer);
 }
 
 // NIST FIPS 180-4 / well-known reference digests.
@@ -50,6 +98,53 @@ TEST(Sha256Test, IncrementalMatchesOneShot) {
     h.Update(ToBytes(msg.substr(split)));
     EXPECT_EQ(HexEncode(h.Finish()), HashHex(msg)) << "split=" << split;
   }
+  // Every length 0..200 — one- and two-block finishes, tails of every
+  // size — fed whole and split at every offset, against the reference.
+  for (size_t len = 0; len <= 200; ++len) {
+    const Bytes msg_bytes = PatternMessage(len);
+    const Bytes expected = ReferenceDigest(msg_bytes);
+    ASSERT_EQ(Sha256::Hash(msg_bytes), expected) << "len=" << len;
+    for (size_t split = 0; split <= len; ++split) {
+      Sha256 h;
+      h.Update(msg_bytes.data(), split);
+      h.Update(msg_bytes.data() + split, len - split);
+      uint8_t out[Sha256::kDigestSize];
+      h.FinishInto(out);
+      ASSERT_EQ(Bytes(out, out + sizeof(out)), expected)
+          << "len=" << len << " split=" << split;
+    }
+  }
+}
+
+TEST(Sha256Test, ResumedMidstateFinishesAtEveryPaddingBoundary) {
+  // A hasher resumed from a cloned midstate (HMAC's ipad state) counts
+  // the prefix block in its bit length; its finish must match the
+  // reference fold at the lengths where padding changes shape.
+  Bytes key = ToBytes("midstate-key");
+  HmacSha256Precomputed schedule(key);
+  Sha256State ipad_state = Sha256InitialState();
+  Bytes ipad(64, 0x36);
+  for (size_t i = 0; i < key.size(); ++i) ipad[i] ^= key[i];
+  Sha256Compress(&ipad_state, ipad.data());
+  ASSERT_EQ(ipad_state, schedule.inner_midstate());
+  for (size_t len : {0u, 1u, 54u, 55u, 56u, 57u, 63u, 64u, 65u, 118u, 119u,
+                     120u, 121u, 127u, 128u}) {
+    const Bytes msg = PatternMessage(len);
+    Sha256 resumed = Sha256::FromMidstate(schedule.inner_midstate(), 64);
+    resumed.Update(msg);
+    EXPECT_EQ(resumed.Finish(), ReferenceDigest(msg, ipad_state, 64))
+        << "len=" << len;
+
+    const Bytes expected = ReferenceHmac(key, msg);
+    EXPECT_EQ(HmacSha256(key, msg), expected) << "len=" << len;
+    for (size_t split : {size_t{0}, len / 2, len}) {
+      HmacSha256Stream stream(&schedule);
+      stream.Update(msg.data(), split);
+      stream.Update(msg.data() + split, len - split);
+      EXPECT_EQ(stream.Finish(), expected)
+          << "len=" << len << " split=" << split;
+    }
+  }
 }
 
 TEST(Sha256Test, ResetRestoresPristineState) {
@@ -79,6 +174,13 @@ TEST(Sha256Test, BlockBoundaryLengths) {
   for (const auto& c : cases) {
     Bytes msg(c.len, 'a');
     EXPECT_EQ(HexEncode(Sha256::Hash(msg)), c.digest) << "len=" << c.len;
+    EXPECT_EQ(HexEncode(ReferenceDigest(msg)), c.digest) << "len=" << c.len;
+  }
+  // The reference agrees with the published vectors above, so it can
+  // stand in for them at every other length.
+  for (size_t len = 0; len <= 200; ++len) {
+    Bytes msg(len, 'a');
+    EXPECT_EQ(Sha256::Hash(msg), ReferenceDigest(msg)) << "len=" << len;
   }
 }
 
